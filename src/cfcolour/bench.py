@@ -11,8 +11,8 @@ from typing import IO, Iterable, Sequence
 
 from .colouring import exact_chromatic, greedy_cf_colouring, verify_colouring
 from .generators import GenSpec, generate, parse_genspec
-from .graph import Graph, load_graph
-from .reach import back_reach_profile, make_ordering
+from .graph import Graph, load_graph, read_text
+from .reach import make_ordering
 
 CSV_HEADER = (
     "graph_id,family,n,m,strategy,r2,colours_used,bound_thm1,"
@@ -110,8 +110,8 @@ def run_corpus(
         for strategy in strategies:
             start = time.perf_counter()
             ordering = make_ordering(g, strategy)
-            r2 = back_reach_profile(g, ordering, 2).max
             col = greedy_cf_colouring(g, ordering)
+            r2 = (col.palette + 1) // 2  # the palette is max(1, 2 * r2 - 1)
             verdicts = {c: verify_colouring(g, col, c) for c in ("proper", "odd", "conflict_free")}
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             records.append(
@@ -146,15 +146,8 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
 def load_corpus(source: str | bytes | IO) -> list[GenSpec | str]:
     """Read a corpus file: one generator spec (``family(args)``) or graph file
     path per line; '#' lines are comments."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
     items: list[GenSpec | str] = []
-    for ln in text.splitlines():
+    for ln in read_text(source).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue

@@ -20,7 +20,7 @@ from .colouring import (
     save_colouring,
     verify_colouring,
 )
-from .generators import FAMILIES, GenSpec, generate
+from .generators import FAMILIES, GenSpec, generate, parse_params
 from .graph import FORMATS, load_graph, save_graph
 from .reach import back_reach_profile, exact_scol, load_ordering, make_ordering
 
@@ -34,16 +34,6 @@ def _write(path: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _parse_params(text: str) -> tuple[int | float, ...]:
-    if not text.strip():
-        return ()
-    out: list[int | float] = []
-    for part in text.split(","):
-        part = part.strip()
-        out.append(float(part) if "." in part or "e" in part.lower() else int(part))
-    return tuple(out)
 
 
 def _load_graph_arg(args: argparse.Namespace):
@@ -60,7 +50,7 @@ def _ordering_for(args: argparse.Namespace, g):
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(family=args.family, params=_parse_params(args.params), seed=args.seed)
+    spec = GenSpec(family=args.family, params=parse_params(args.params), seed=args.seed)
     _write(args.output, save_graph(generate(spec), args.format))
     return 0
 

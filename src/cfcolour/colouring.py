@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Literal
+from typing import IO, Literal, Sequence
 
-from .graph import Graph
-from .reach import VertexOrdering, back_reach_profile, reach_set
+from .graph import Graph, read_text
+from .reach import VertexOrdering, _reach
 
 Criterion = Literal["proper", "odd", "conflict_free"]
 CRITERIA = ("proper", "odd", "conflict_free")
@@ -60,38 +60,57 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     for every earlier neighbour, the colour of that neighbour's own leftmost
     neighbour; both blocking sets have at most r - 1 colours, so a free
     colour always exists.  Isolated vertices take the smallest free colour
-    like everyone else.
+    like everyone else.  The palette comes from the same pass: each reach
+    set is computed once, both to block colours and to track r.
     """
     if g.n != ordering.n:
         raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
     if g.n == 0:
         return Colouring(colours=(), palette=0)
-    r = back_reach_profile(g, ordering, 2).max
-    palette = max(1, 2 * r - 1)
+    adj, pos = g.adjacency, ordering.pos
 
     # leftmost[u] is u's neighbour of minimum position (None when isolated).
-    leftmost = {
-        u: min(g.adjacency[u], key=ordering.position) if g.adjacency[u] else None
-        for u in g.vertices
-    }
+    leftmost = [min(a, key=pos.__getitem__) if a else None for a in adj]
 
-    colour_of: dict[int, int] = {}
-    for i, v in enumerate(ordering.seq, start=1):
-        blocked = {colour_of[w] for w in reach_set(g, ordering, v, 2) if w != v}
-        for u in g.adjacency[v]:
-            if ordering.position(u) < i:
+    colour_of = [0] * (g.n + 1)
+    r = 0
+    for v in ordering.seq:
+        reach = _reach(adj, pos, v, 2)
+        r = max(r, len(reach))
+        blocked = {colour_of[w] for w in reach if w != v}
+        pv = pos[v]
+        for u in adj[v]:
+            if pos[u] < pv:
                 pi = leftmost[u]
                 if pi != v:
                     blocked.add(colour_of[pi])
-        choice = next((c for c in range(1, palette + 1) if c not in blocked), None)
-        if choice is None:
+        choice = 1
+        while choice in blocked:
+            choice += 1
+        colour_of[v] = choice
+
+    palette = max(1, 2 * r - 1)
+    for v in ordering.seq:
+        if colour_of[v] > palette:
             raise RuntimeError(
                 f"palette of {palette} colours exhausted at vertex {v}; "
                 "this indicates a bug in the colouring routine"
             )
-        colour_of[v] = choice
+    return Colouring(colours=tuple(colour_of[1:]), palette=palette)
 
-    return Colouring(colours=tuple(colour_of[v] for v in g.vertices), palette=palette)
+
+def _first_violation(g: Graph, colours: Sequence[int], criterion: Criterion) -> int | None:
+    # First vertex whose non-empty neighbourhood fails the odd or conflict-free
+    # condition; colours[w - 1] is the colour of vertex w.
+    odd = criterion == "odd"
+    for v in g.vertices:
+        nbrs = g.adjacency[v]
+        if not nbrs:
+            continue
+        counts = Counter(colours[w - 1] for w in nbrs).values()
+        if not (any(k % 2 == 1 for k in counts) if odd else 1 in counts):
+            return v
+    return None
 
 
 def verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -> Verdict:
@@ -113,40 +132,14 @@ def verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -> Verdict:
         return Verdict(ok=True, witness=None, detail="no monochromatic edge")
     if criterion not in ("odd", "conflict_free"):
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
-    for v in g.vertices:
-        if not g.adjacency[v]:
-            continue
-        counts = Counter(col.of(w) for w in g.adjacency[v])
-        if criterion == "odd":
-            if not any(k % 2 == 1 for k in counts.values()):
-                return Verdict(
-                    ok=False,
-                    witness=v,
-                    detail=f"every colour in the neighbourhood of {v} appears an even number of times",
-                )
-        else:
-            if 1 not in counts.values():
-                return Verdict(
-                    ok=False,
-                    witness=v,
-                    detail=f"no colour appears exactly once in the neighbourhood of {v}",
-                )
-    return Verdict(ok=True, witness=None, detail=f"{criterion} holds at every vertex")
-
-
-def _variant_ok(g: Graph, colours: list[int], variant: Criterion) -> bool:
-    if variant == "proper":
-        return True  # properness is enforced during the search
-    for v in g.vertices:
-        if not g.adjacency[v]:
-            continue
-        counts = Counter(colours[w - 1] for w in g.adjacency[v])
-        if variant == "odd":
-            if not any(k % 2 == 1 for k in counts.values()):
-                return False
-        elif 1 not in counts.values():
-            return False
-    return True
+    v = _first_violation(g, col.colours, criterion)
+    if v is None:
+        return Verdict(ok=True, witness=None, detail=f"{criterion} holds at every vertex")
+    if criterion == "odd":
+        detail = f"every colour in the neighbourhood of {v} appears an even number of times"
+    else:
+        detail = f"no colour appears exactly once in the neighbourhood of {v}"
+    return Verdict(ok=False, witness=v, detail=detail)
 
 
 def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, Colouring]:
@@ -170,8 +163,8 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 
     def search(v: int, introduced: int, c: int) -> list[int] | None:
         if v > g.n:
-            flat = [colours[u] for u in g.vertices]
-            return flat if _variant_ok(g, flat, variant) else None
+            flat = colours[1:]  # properness is enforced during the search
+            return flat if variant == "proper" or _first_violation(g, flat, variant) is None else None
         top = min(c, introduced + 1)
         for colour in range(1, top + 1):
             if any(colours[w] == colour for w in g.adjacency[v] if w < v):
@@ -192,30 +185,23 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 
 def load_colouring(source: str | bytes | IO) -> Colouring:
     """Read a colouring file: header "n c", then n lines "v colour"."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    rows = [ln.strip() for ln in text.splitlines()]
+    rows = [ln.strip() for ln in read_text(source).splitlines()]
     rows = [ln for ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("colouring file: missing 'n c' header line")
-    header = rows[0].split()
-    if len(header) != 2:
-        raise ValueError(f"colouring file: malformed header {rows[0]!r}, expected 'n c'")
-    n, c = int(header[0]), int(header[1])
+    try:
+        n, c = (int(x) for x in rows[0].split())
+    except ValueError:
+        raise ValueError(f"colouring file: malformed header {rows[0]!r}, expected 'n c'") from None
     if len(rows) - 1 != n:
         raise ValueError(f"colouring file: header declares {n} vertices, body has {len(rows) - 1} lines")
     colours = [0] * n
     seen = set()
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"colouring file: malformed line {ln!r}")
-        v, colour = int(parts[0]), int(parts[1])
+        try:
+            v, colour = (int(x) for x in ln.split())
+        except ValueError:
+            raise ValueError(f"colouring file: malformed line {ln!r}") from None
         if not 1 <= v <= n:
             raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
         if v in seen:

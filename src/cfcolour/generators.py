@@ -162,6 +162,20 @@ def generate(spec: GenSpec) -> Graph:
 _SPEC_RE = re.compile(r"^([a-z_][a-z0-9_]*)\((.*)\)$")
 
 
+def _number(arg: str) -> int | float:
+    # A number with a '.' or an exponent is a float, anything else an int.
+    return float(arg) if "." in arg or "e" in arg.lower() else int(arg)
+
+
+def parse_params(text: str) -> tuple[int | float, ...]:
+    """Parse comma-separated family parameters such as ``20,50`` or ``8,0.3``;
+    blank text gives ()."""
+    try:
+        return tuple(_number(p.strip()) for p in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise ValueError(f"malformed parameters {text!r}, expected comma-separated numbers") from None
+
+
 def parse_genspec(text: str) -> GenSpec:
     """Parse the textual form, e.g. ``path(4)`` or ``gnp(8,0.3,seed=7)``."""
     m = _SPEC_RE.match(text.strip())
@@ -172,8 +186,11 @@ def parse_genspec(text: str) -> GenSpec:
     seed = 0
     args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
     for arg in args:
-        if arg.startswith("seed="):
-            seed = int(arg[len("seed="):])
-        else:
-            params.append(float(arg) if "." in arg or "e" in arg.lower() else int(arg))
+        try:
+            if arg.startswith("seed="):
+                seed = int(arg[len("seed="):])
+            else:
+                params.append(_number(arg))
+        except ValueError:
+            raise ValueError(f"malformed generator spec {text!r}: {arg!r} is not a number") from None
     return GenSpec(family=family, params=tuple(params), seed=seed)

@@ -72,7 +72,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
 
 
-def _read_text(source: str | bytes | IO) -> str:
+def read_text(source: str | bytes | IO) -> str:
+    """Decode text, UTF-8 bytes, or a readable text or binary stream."""
     if isinstance(source, bytes):
         return source.decode("utf-8")
     if isinstance(source, str):
@@ -145,7 +146,7 @@ def _parse_dimacs(text: str) -> Graph:
 
 def load_graph(source: str | bytes | IO, fmt: str = "edgelist") -> Graph:
     """Parse a graph from text, bytes, or a readable stream."""
-    text = _read_text(source)
+    text = read_text(source)
     if fmt == "edgelist":
         return _parse_edgelist(text)
     if fmt == "dimacs":

@@ -10,18 +10,23 @@ minimum back-reach over all orderings is the s-strong colouring number.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
-from .graph import Graph
+from .graph import Graph, read_text
 
 
 @dataclass(frozen=True)
 class VertexOrdering:
-    """A total order on vertices 1..n; ``seq[i]`` is the vertex at position i+1."""
+    """A total order on vertices 1..n; ``seq[i]`` is the vertex at position i+1.
+
+    ``pos[v]`` is the 1-based position of v (``pos[0]`` is unused): the plain
+    position array that hot loops index without range checks.
+    """
 
     seq: tuple[int, ...]
+    pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.seq)
@@ -30,7 +35,7 @@ class VertexOrdering:
         pos = [0] * (n + 1)
         for i, v in enumerate(self.seq, start=1):
             pos[v] = i
-        object.__setattr__(self, "_pos", tuple(pos))
+        object.__setattr__(self, "pos", tuple(pos))
 
     @property
     def n(self) -> int:
@@ -40,7 +45,7 @@ class VertexOrdering:
         """1-based position of v; position 1 is leftmost."""
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return self._pos[v]  # type: ignore[attr-defined]
+        return self.pos[v]
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u is at or before v in the order."""
@@ -70,6 +75,38 @@ class ReachProfile:
     max: int
 
 
+def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
+    # The one reach BFS behind reach_set; w lies after v exactly when
+    # pos[w] > pos[v].  Each vertex after v is expanded at most once, and the
+    # last hop only collects.
+    pv = pos[v]
+    collected = {v}
+    frontier = [v]
+    expanded = set()
+    for _ in range(radius - 1):
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if pos[w] <= pv:
+                    collected.add(w)
+                elif w not in expanded:
+                    expanded.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    for u in frontier:
+        for w in adjacency[u]:
+            if pos[w] <= pv:
+                collected.add(w)
+    return collected
+
+
+def _check_args(g: Graph, ordering: VertexOrdering, radius: int) -> None:
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    if g.n != ordering.n:
+        raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
+
+
 def reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
     """Reach set of v: endpoints at or before v of paths of length <= radius
     whose internal vertices all sit strictly after v.
@@ -79,32 +116,16 @@ def reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[in
     but never expanded, so they cannot serve as path interiors; conversely
     any walk found this way shortcuts to a qualifying path.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if g.n != ordering.n:
-        raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
-    pv = ordering.position(v)
-    seen = {v}
-    collected = {v}
-    frontier = [v]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if ordering.position(w) <= pv:
-                    collected.add(w)
-                else:
-                    nxt.append(w)
-        frontier = nxt
-    return collected
+    _check_args(g, ordering, radius)
+    ordering.position(v)  # range check
+    return _reach(g.adjacency, ordering.pos, v, radius)
 
 
 def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> ReachProfile:
     """Reach-set sizes of every vertex; ``max`` is the ordering's back-reach."""
-    sizes = {v: len(reach_set(g, ordering, v, radius)) for v in g.vertices}
+    _check_args(g, ordering, radius)
+    adj, pos = g.adjacency, ordering.pos
+    sizes = {v: len(_reach(adj, pos, v, radius)) for v in g.vertices}
     return ReachProfile(radius=radius, sizes=sizes, max=max(sizes.values(), default=0))
 
 
@@ -130,20 +151,6 @@ def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
     return VertexOrdering(tuple(reversed(removed))), d
 
 
-def _cost_given_right(g: Graph, v: int, right: set[int]) -> int:
-    # |R(v, 2)| if v is placed with exactly `right` after it: v, its not-yet-placed
-    # neighbours, and not-yet-placed vertices one hop past a placed neighbour.
-    members = {v}
-    for u in g.adjacency[v]:
-        if u in right:
-            for w in g.adjacency[u]:
-                if w not in right:
-                    members.add(w)
-        else:
-            members.add(u)
-    return len(members)
-
-
 def min_backreach_order(g: Graph) -> VertexOrdering:
     """Heuristic ordering aiming for a small back-reach at radius 2.
 
@@ -151,7 +158,9 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     radius-2 reach set (fully determined once everything to its right is
     fixed) is smallest, ties to the smallest id.  No optimality guarantee.
     """
-    right: set[int] = set()
+    adj = g.adjacency
+    # placed[w] is 1 once w sits to the right of every unplaced vertex.
+    placed = [0] * (g.n + 1)
     cost = {v: 1 + g.degree(v) for v in g.vertices}
     placed_rtl: list[int] = []
     remaining = set(g.vertices)
@@ -159,34 +168,14 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
         v = min(remaining, key=lambda u: (cost[u], u))
         remaining.discard(v)
         placed_rtl.append(v)
-        right.add(v)
+        placed[v] = 1
         # Only vertices within distance 2 of v can see their reach change.
-        affected = set(g.adjacency[v])
-        for u in g.adjacency[v]:
-            affected.update(g.adjacency[u])
+        affected = set(adj[v])
+        for u in adj[v]:
+            affected.update(adj[u])
         for u in affected & remaining:
-            cost[u] = _cost_given_right(g, u, right)
+            cost[u] = len(_reach(adj, placed, u, 2))
     return VertexOrdering(tuple(reversed(placed_rtl)))
-
-
-def _reach_size_masked(g: Graph, v: int, right_mask: int, radius: int) -> int:
-    # Reach-set size when the vertices in right_mask are exactly those after v.
-    seen = {v}
-    count = 1
-    frontier = [v]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for w in g.adjacency[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if right_mask >> (w - 1) & 1:
-                    nxt.append(w)
-                else:
-                    count += 1
-        frontier = nxt
-    return count
 
 
 def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrdering]:
@@ -206,7 +195,12 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     n = g.n
     if n == 0:
         return 0, VertexOrdering(())
+    adj = g.adjacency
     full = (1 << n) - 1
+
+    def placed(mask: int) -> list[int]:
+        # placed[w] is 1 when w is in mask, i.e. sits after every unplaced vertex.
+        return [0] + [mask >> (w - 1) & 1 for w in range(1, n + 1)]
 
     @lru_cache(maxsize=None)
     def best(mask: int) -> int:
@@ -214,11 +208,12 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
         # given that `mask` holds everything already placed to the right.
         if mask == full:
             return 0
+        pos = placed(mask)
         out = n + 1
         for v in range(1, n + 1):
-            if mask >> (v - 1) & 1:
+            if pos[v]:
                 continue
-            size = _reach_size_masked(g, v, mask, radius)
+            size = len(_reach(adj, pos, v, radius))
             if size >= out:
                 continue
             out = min(out, max(size, best(mask | (1 << (v - 1)))))
@@ -228,10 +223,11 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     placed_rtl: list[int] = []
     mask = 0
     while mask != full:
+        pos = placed(mask)
         for v in range(1, n + 1):
-            if mask >> (v - 1) & 1:
+            if pos[v]:
                 continue
-            size = _reach_size_masked(g, v, mask, radius)
+            size = len(_reach(adj, pos, v, radius))
             if max(size, best(mask | (1 << (v - 1)))) <= value:
                 placed_rtl.append(v)
                 mask |= 1 << (v - 1)
@@ -267,15 +263,8 @@ def make_ordering(g: Graph, strategy: str) -> VertexOrdering:
 
 def load_ordering(source: str | bytes | IO) -> VertexOrdering:
     """Read an ordering file: one 1-based vertex id per line, top line first."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
     seq = []
-    for ln in text.splitlines():
+    for ln in read_text(source).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue

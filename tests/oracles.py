@@ -3,7 +3,7 @@ library's search strategies."""
 
 from itertools import combinations, permutations, product
 
-from cfcolour import Graph, VertexOrdering, build_graph
+from cfcolour import Colouring, Graph, VertexOrdering, build_graph
 
 
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
@@ -85,3 +85,89 @@ def all_graphs(n: int):
     pairs = list(combinations(range(1, n + 1), 2))
     for bits in range(1 << len(pairs)):
         yield build_graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+# --- differential references -------------------------------------------------
+# Earlier library implementations, kept verbatim in spirit so that the current
+# code can be checked against them output for output.
+
+
+def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
+    """Reach set by the seen-set BFS that expands only v and vertices after v."""
+    pv = ordering.position(v)
+    seen = {v}
+    collected = {v}
+    frontier = [v]
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for w in g.adjacency[u]:
+                if w in seen:
+                    continue
+                seen.add(w)
+                if ordering.position(w) <= pv:
+                    collected.add(w)
+                else:
+                    nxt.append(w)
+        frontier = nxt
+    return collected
+
+
+def reference_profile_sizes(g: Graph, ordering: VertexOrdering, radius: int) -> dict[int, int]:
+    return {v: len(reference_reach_set(g, ordering, v, radius)) for v in g.vertices}
+
+
+def _cost_given_right(g: Graph, v: int, right: set[int]) -> int:
+    # |R(v, 2)| if v is placed with exactly `right` after it: v, its not-yet-placed
+    # neighbours, and not-yet-placed vertices one hop past a placed neighbour.
+    members = {v}
+    for u in g.adjacency[v]:
+        if u in right:
+            for w in g.adjacency[u]:
+                if w not in right:
+                    members.add(w)
+        else:
+            members.add(u)
+    return len(members)
+
+
+def reference_min_backreach_order(g: Graph) -> VertexOrdering:
+    """Right-to-left min-back-reach placement with the closed-form radius-2 cost."""
+    right: set[int] = set()
+    cost = {v: 1 + g.degree(v) for v in g.vertices}
+    placed_rtl: list[int] = []
+    remaining = set(g.vertices)
+    while remaining:
+        v = min(remaining, key=lambda u: (cost[u], u))
+        remaining.discard(v)
+        placed_rtl.append(v)
+        right.add(v)
+        affected = set(g.adjacency[v])
+        for u in g.adjacency[v]:
+            affected.update(g.adjacency[u])
+        for u in affected & remaining:
+            cost[u] = _cost_given_right(g, u, right)
+    return VertexOrdering(tuple(reversed(placed_rtl)))
+
+
+def reference_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
+    """Greedy colouring that sizes the palette from a separate back-reach profile
+    and then recomputes every reach set while colouring."""
+    if g.n == 0:
+        return Colouring(colours=(), palette=0)
+    r = max(reference_profile_sizes(g, ordering, 2).values())
+    palette = max(1, 2 * r - 1)
+    leftmost = {
+        u: min(g.adjacency[u], key=ordering.position) if g.adjacency[u] else None
+        for u in g.vertices
+    }
+    colour_of: dict[int, int] = {}
+    for i, v in enumerate(ordering.seq, start=1):
+        blocked = {colour_of[w] for w in reference_reach_set(g, ordering, v, 2) if w != v}
+        for u in g.adjacency[v]:
+            if ordering.position(u) < i:
+                pi = leftmost[u]
+                if pi != v:
+                    blocked.add(colour_of[pi])
+        colour_of[v] = next(c for c in range(1, palette + 1) if c not in blocked)
+    return Colouring(colours=tuple(colour_of[v] for v in g.vertices), palette=palette)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cfcolour import (
@@ -118,3 +120,14 @@ def test_load_corpus_mixed(tmp_path):
     assert items[0] == GenSpec("path", (4,))
     assert items[1] == GenSpec("gnp", (8, 0.3), seed=7)
     assert items[2] == "graphs/foo.el"
+
+
+def test_demo_corpus_matches_golden_csv():
+    # Recorded from corpus/demo.txt with runtime_ms dropped; any change in
+    # orderings, reach sizes or colourings shows up here.
+    root = Path(__file__).resolve().parents[1]
+    items = load_corpus((root / "corpus" / "demo.txt").read_text(encoding="utf-8"))
+    strategies = ["identity", "reverse", "random", "random(7)", "degeneracy", "min_backreach"]
+    csv_text = records_to_csv(run_corpus(items, strategies, exact_up_to=6))
+    stripped = "".join(row.rsplit(",", 1)[0] + "\n" for row in csv_text.splitlines())
+    assert stripped == (root / "tests" / "data" / "demo_bench.csv").read_text(encoding="utf-8")

@@ -41,6 +41,11 @@ def test_gen_bad_params_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_non_numeric_params_exit_2(capsys):
+    assert main(["gen", "--family", "path", "--params", "x"]) == 2
+    assert "malformed parameters 'x'" in capsys.readouterr().err
+
+
 def test_scol_strategy(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.el", GenSpec("cycle", (5,)))
     assert main(["scol", "--graph", graph, "--s", "2", "--strategy", "identity"]) == 0

@@ -65,6 +65,8 @@ def test_colouring_file_round_trip():
         ("2 2\n1 1\n1 2\n", "listed twice"),
         ("1 1\n5 1\n", "out of range"),
         ("1 1\n1 1 1\n", "malformed line"),
+        ("x 2\n", "colouring file: malformed header"),
+        ("1 2\n1 a\n", "colouring file: malformed line"),
     ],
 )
 def test_colouring_file_errors(text, fragment):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from cfcolour import (
     parse_genspec,
     save_graph,
 )
+from cfcolour.generators import parse_params
 
 
 def degrees(g):
@@ -107,9 +110,18 @@ def test_parse_genspec_round_trip():
         assert parse_genspec(spec.graph_id) == spec
 
 
-def test_parse_genspec_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_genspec("path 4")
+@pytest.mark.parametrize(
+    "text", ["path 4", "gnp(8,0.3,seed=x)", "path(x)", "grid(2,,3)", "gnp(8,0.3,seed=1.5)"]
+)
+def test_parse_genspec_rejects_garbage(text):
+    with pytest.raises(ValueError, match=re.escape(f"malformed generator spec {text!r}")):
+        parse_genspec(text)
+
+
+def test_parse_params():
+    assert parse_params("") == ()
+    assert parse_params(" 20, 50 ") == (20, 50)
+    assert parse_params("8,0.3,1e2") == (8, 0.3, 100.0)
 
 
 @st.composite
