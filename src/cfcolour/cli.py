@@ -2,7 +2,8 @@
 
 Paths given as "-" read standard input or write standard output.  Exit codes:
 0 on success, 1 when a verification or bound predicate fails, 2 on usage or
-input errors.
+input errors, 3 on an internal error (such as a search too deep for the
+recursion limit, or an exhausted greedy palette).
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:  # RecursionError included
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

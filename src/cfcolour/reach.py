@@ -9,6 +9,7 @@ minimum back-reach over all orderings is the s-strong colouring number.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -132,49 +133,88 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> Reach
 def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
     """Smallest-last elimination ordering and the graph's degeneracy.
 
-    Repeatedly removes a minimum-degree vertex (ties to the smallest id); the
-    returned ordering is the reverse of the removal sequence, so every vertex
-    has at most d neighbours before it.
+    Repeatedly removes a vertex of minimum remaining degree, ties to the
+    smallest id; the returned ordering is the reverse of the removal sequence,
+    so every vertex has at most d neighbours before it.
+
+    The minimum comes from a heap of ``(degree, id)`` keys with lazy deletion
+    (Matula and Beck's smallest-last technique): each decrement pushes the new
+    key, and a popped entry is skipped when its vertex is gone.  Degrees only
+    fall, so a vertex's stale keys exceed its current one and surface only
+    after it is gone.  O(m log n) in all.
     """
-    degree = {v: g.degree(v) for v in g.vertices}
+    adj = g.adjacency
+    degree = [len(a) for a in adj]
+    alive = [False] + [True] * g.n
+    heap = [(degree[v], v) for v in g.vertices]
+    heapq.heapify(heap)
     removed: list[int] = []
-    alive = set(g.vertices)
     d = 0
-    while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
-        d = max(d, degree[v])
-        alive.discard(v)
+    while heap:
+        k, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        d = max(d, k)
+        alive[v] = False
         removed.append(v)
-        for w in g.adjacency[v]:
-            if w in alive:
+        for w in adj[v]:
+            if alive[w]:
                 degree[w] -= 1
+                heapq.heappush(heap, (degree[w], w))
     return VertexOrdering(tuple(reversed(removed))), d
 
 
 def min_backreach_order(g: Graph) -> VertexOrdering:
     """Heuristic ordering aiming for a small back-reach at radius 2.
 
-    Builds the order right to left; each step places the vertex whose
-    radius-2 reach set (fully determined once everything to its right is
-    fixed) is smallest, ties to the smallest id.  No optimality guarantee.
+    Builds the order right to left; each step places the unplaced vertex
+    whose radius-2 reach set (fully determined once everything to its right
+    is fixed) is smallest, ties to the smallest id.  No optimality guarantee.
+
+    The minimum comes from a heap of ``(cost, id)`` keys with lazy deletion: a
+    popped entry is skipped when its vertex is placed or its cost is stale.
+    The cost of u is the size of its reach set given the placed vertices: u,
+    its unplaced neighbours, and the unplaced neighbours of its placed
+    neighbours.  That set is kept incrementally.  It is built as
+    ``{u, *adj[u]}`` the first time a neighbour of u is placed (until then the
+    cost is ``1 + deg(u)``).  When v is placed, each unplaced neighbour of v
+    drops v and gains v's unplaced neighbours, each unplaced neighbour of a
+    placed neighbour of v drops v, v's own set is freed, and every vertex
+    whose set size changed gets a new heap entry.
     """
     adj = g.adjacency
-    # placed[w] is 1 once w sits to the right of every unplaced vertex.
-    placed = [0] * (g.n + 1)
-    cost = {v: 1 + g.degree(v) for v in g.vertices}
+    placed = [True] + [False] * g.n
+    cost = [len(a) + 1 for a in adj]
+    reach: list[set[int] | None] = [None] * (g.n + 1)
+    heap = [(cost[v], v) for v in g.vertices]
+    heapq.heapify(heap)
     placed_rtl: list[int] = []
-    remaining = set(g.vertices)
-    while remaining:
-        v = min(remaining, key=lambda u: (cost[u], u))
-        remaining.discard(v)
+    while heap:
+        k, v = heapq.heappop(heap)
+        if placed[v] or k != cost[v]:
+            continue
+        placed[v] = True
         placed_rtl.append(v)
-        placed[v] = 1
-        # Only vertices within distance 2 of v can see their reach change.
-        affected = set(adj[v])
-        for u in adj[v]:
-            affected.update(adj[u])
-        for u in affected & remaining:
-            cost[u] = len(_reach(adj, placed, u, 2))
+        reach[v] = None
+        fresh = [w for w in adj[v] if not placed[w]]
+        touched = set(fresh)
+        for u in fresh:
+            members = reach[u]
+            if members is None:
+                members = reach[u] = {u, *adj[u]}
+            members.discard(v)
+            members.update(fresh)
+        for x in adj[v]:
+            if placed[x]:
+                for u in adj[x]:
+                    if not placed[u]:
+                        reach[u].discard(v)
+                        touched.add(u)
+        for u in touched:
+            size = len(reach[u])
+            if size != cost[u]:
+                cost[u] = size
+                heapq.heappush(heap, (size, u))
     return VertexOrdering(tuple(reversed(placed_rtl)))
 
 

@@ -117,6 +117,28 @@ def reference_profile_sizes(g: Graph, ordering: VertexOrdering, radius: int) -> 
     return {v: len(reference_reach_set(g, ordering, v, radius)) for v in g.vertices}
 
 
+def reference_degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
+    """Smallest-last elimination ordering and the graph's degeneracy.
+
+    Repeatedly removes a minimum-degree vertex (ties to the smallest id); the
+    returned ordering is the reverse of the removal sequence, so every vertex
+    has at most d neighbours before it.
+    """
+    degree = {v: g.degree(v) for v in g.vertices}
+    removed: list[int] = []
+    alive = set(g.vertices)
+    d = 0
+    while alive:
+        v = min(alive, key=lambda u: (degree[u], u))
+        d = max(d, degree[v])
+        alive.discard(v)
+        removed.append(v)
+        for w in g.adjacency[v]:
+            if w in alive:
+                degree[w] -= 1
+    return VertexOrdering(tuple(reversed(removed))), d
+
+
 def _cost_given_right(g: Graph, v: int, right: set[int]) -> int:
     # |R(v, 2)| if v is placed with exactly `right` after it: v, its not-yet-placed
     # neighbours, and not-yet-placed vertices one hop past a placed neighbour.

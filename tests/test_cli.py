@@ -130,6 +130,14 @@ def test_exact_limit_exceeded_is_input_error(tmp_path, capsys):
     assert main(["exact", "--graph", graph, "--variant", "proper", "--limit", "12"]) == 0
 
 
+def test_exact_recursion_overflow_is_internal_error(tmp_path, capsys):
+    graph = write_graph(tmp_path, "p1500.el", GenSpec("path", (1500,)))
+    assert main(["exact", "--graph", graph, "--variant", "proper", "--limit", "5000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert len(err.splitlines()) == 1
+
+
 def test_graph_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("4 3\n1 2\n2 3\n3 4\n"))
     assert main(["colour", "--graph", "-", "--strategy", "degeneracy"]) == 0
