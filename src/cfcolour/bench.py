@@ -11,7 +11,7 @@ from typing import IO, Iterable, Sequence
 
 from .colouring import exact_chromatic, greedy_cf_colouring, verify_colouring
 from .generators import GenSpec, generate, parse_genspec
-from .graph import Graph, load_graph, read_text
+from .graph import DataLines, Graph, load_graph
 from .reach import make_ordering
 
 CSV_HEADER = (
@@ -146,13 +146,14 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
 def load_corpus(source: str | bytes | IO) -> list[GenSpec | str]:
     """Read a corpus file: one generator spec (``family(args)``) or graph file
     path per line; '#' lines are comments."""
+    lines = DataLines("corpus", source)
     items: list[GenSpec | str] = []
-    for ln in read_text(source).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for i, ln in enumerate(lines.rows):
         if "(" in ln and ln.endswith(")"):
-            items.append(parse_genspec(ln))
+            try:
+                items.append(parse_genspec(ln))
+            except ValueError as err:
+                raise lines.error(i, str(err)) from None
         else:
             items.append(ln)
     return items

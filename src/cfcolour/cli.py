@@ -2,8 +2,9 @@
 
 Paths given as "-" read standard input or write standard output.  Exit codes:
 0 on success, 1 when a verification or bound predicate fails, 2 on usage or
-input errors, 3 on an internal error (such as a search too deep for the
-recursion limit, or an exhausted greedy palette).
+input errors (a parse error names the file and line), 3 on an internal error
+(any other exception, such as a search too deep for the recursion limit, or
+an exhausted greedy palette).
 """
 
 from __future__ import annotations
@@ -26,8 +27,12 @@ from .graph import FORMATS, load_graph, save_graph
 from .reach import back_reach_profile, exact_scol, load_ordering, make_ordering
 
 
-def _read(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+def _load(path: str, parse, *args):
+    """Read ``path`` ('-' for stdin) and parse it; a ValueError names the file."""
+    try:
+        return parse(sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8"), *args)
+    except ValueError as err:  # UnicodeDecodeError included
+        raise ValueError(f"{'<stdin>' if path == '-' else path}: {err}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -37,17 +42,9 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_graph_arg(args: argparse.Namespace):
-    return load_graph(_read(args.graph), args.format)
-
-
 def _ordering_for(args: argparse.Namespace, g):
-    if getattr(args, "order", None):
-        ordering = load_ordering(_read(args.order))
-        if ordering.n != g.n:
-            raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
-        return ordering
-    return make_ordering(g, args.strategy)
+    # A length mismatch is caught where the ordering is used.
+    return _load(args.order, load_ordering) if args.order else make_ordering(g, args.strategy)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -57,7 +54,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_scol(args: argparse.Namespace) -> int:
-    g = _load_graph_arg(args)
+    g = _load(args.graph, load_graph, args.format)
     if args.exact:
         value, _ = exact_scol(g, args.s, limit=args.limit)
         print(value)
@@ -71,7 +68,7 @@ def _cmd_scol(args: argparse.Namespace) -> int:
 
 
 def _cmd_colour(args: argparse.Namespace) -> int:
-    g = _load_graph_arg(args)
+    g = _load(args.graph, load_graph, args.format)
     col = greedy_cf_colouring(g, _ordering_for(args, g))
     summary = f"colours={col.used} bound={col.palette}"
     _write(args.output, save_colouring(col))
@@ -81,8 +78,8 @@ def _cmd_colour(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _load_graph_arg(args)
-    col = load_colouring(_read(args.colouring))
+    g = _load(args.graph, load_graph, args.format)
+    col = _load(args.colouring, load_colouring)
     verdict = verify_colouring(g, col, args.criterion)
     if verdict.ok:
         print("ok")
@@ -92,14 +89,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    g = _load_graph_arg(args)
+    g = _load(args.graph, load_graph, args.format)
     value, _ = exact_chromatic(g, args.variant, limit=args.limit)
     print(value)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    items = load_corpus(_read(args.corpus))
+    items = _load(args.corpus, load_corpus)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     records = run_corpus(items, strategies, exact_up_to=args.exact_up_to)
     _write(args.output, records_to_csv(records))
@@ -122,12 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="graph file, '-' for stdin")
         p.add_argument("--format", choices=FORMATS, default="edgelist")
 
-    def add_ordering_group(p: argparse.ArgumentParser, extra: list[str] | None = None) -> None:
+    def add_ordering_group(p: argparse.ArgumentParser):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--order", help="ordering file, '-' for stdin")
         group.add_argument("--strategy", help="identity, reverse, random(seed), degeneracy, min_backreach")
-        if extra and "exact" in extra:
-            group.add_argument("--exact", action="store_true", help="exact minimum over all orderings")
+        return group
 
     p = sub.add_parser("gen", help="generate a corpus graph")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -140,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scol", help="back-reach of an ordering, or the exact strong colouring number")
     add_graph_arg(p)
     p.add_argument("--s", type=int, required=True, help="path-length radius")
-    add_ordering_group(p, extra=["exact"])
+    add_ordering_group(p).add_argument("--exact", action="store_true", help="exact minimum over all orderings")
     p.add_argument("--limit", type=int, default=10, help="max n for --exact")
     p.add_argument("--verbose", action="store_true", help="also print per-vertex reach sizes")
     p.set_defaults(func=_cmd_scol)
@@ -181,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:  # RecursionError included
+    except Exception as err:  # a fault of the program, not of its input
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Literal, Sequence
 
-from .graph import Graph, read_text
+from .graph import DataLines, Graph, int_pairs
 from .reach import VertexOrdering, _reach
 
 Criterion = Literal["proper", "odd", "conflict_free"]
@@ -185,23 +185,15 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 
 def load_colouring(source: str | bytes | IO) -> Colouring:
     """Read a colouring file: header "n c", then n lines "v colour"."""
-    rows = [ln.strip() for ln in read_text(source).splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
-    if not rows:
+    lines = DataLines("colouring file", source)
+    if not lines.rows:
         raise ValueError("colouring file: missing 'n c' header line")
-    try:
-        n, c = (int(x) for x in rows[0].split())
-    except ValueError:
-        raise ValueError(f"colouring file: malformed header {rows[0]!r}, expected 'n c'") from None
-    if len(rows) - 1 != n:
-        raise ValueError(f"colouring file: header declares {n} vertices, body has {len(rows) - 1} lines")
+    n, c = lines.ints(0, 1, "header", "n c", int_pairs)[0]
+    if len(lines.rows) - 1 != n:
+        raise ValueError(f"colouring file: header declares {n} vertices, body has {len(lines.rows) - 1} lines")
     colours = [0] * n
     seen = set()
-    for ln in rows[1:]:
-        try:
-            v, colour = (int(x) for x in ln.split())
-        except ValueError:
-            raise ValueError(f"colouring file: malformed line {ln!r}") from None
+    for v, colour in lines.ints(1, None, "line", "v colour", int_pairs):
         if not 1 <= v <= n:
             raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
         if v in seen:

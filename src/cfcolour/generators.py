@@ -54,7 +54,7 @@ def _fmt_num(x: int | float) -> str:
 def _ints(params: tuple[int | float, ...]) -> list[int]:
     out = []
     for p in params:
-        if isinstance(p, float) and p != int(p):
+        if isinstance(p, float) and not p.is_integer():  # inf and nan included
             raise ValueError(f"expected integer parameter, got {p}")
         out.append(int(p))
     return out
@@ -93,7 +93,7 @@ def _validate_params(family: str, params: tuple[int | float, ...]) -> None:
             raise ValueError("grid requires rows >= 1 and cols >= 1")
     elif family == "gnp":
         need(2, "n, p")
-        if isinstance(params[0], float) and params[0] != int(params[0]):
+        if isinstance(params[0], float) and not params[0].is_integer():
             raise ValueError("gnp requires integer n")
         if int(params[0]) < 0:
             raise ValueError("gnp requires n >= 0")
@@ -193,4 +193,7 @@ def parse_genspec(text: str) -> GenSpec:
                 params.append(_number(arg))
         except ValueError:
             raise ValueError(f"malformed generator spec {text!r}: {arg!r} is not a number") from None
-    return GenSpec(family=family, params=tuple(params), seed=seed)
+    try:
+        return GenSpec(family=family, params=tuple(params), seed=seed)
+    except ValueError as err:
+        raise ValueError(f"malformed generator spec {text!r}: {err}") from None

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from itertools import islice
+from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
 
 FORMATS = ("edgelist", "dimacs")
 
@@ -82,75 +83,85 @@ def read_text(source: str | bytes | IO) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def _parse_edgelist(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not rows:
-        raise ValueError("edgelist: missing 'n m' header line")
-    header = rows[0].split()
-    if len(header) != 2:
-        raise ValueError(f"edgelist: malformed header {rows[0]!r}, expected 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"edgelist: malformed header {rows[0]!r}, expected 'n m'") from None
-    body = rows[1:]
-    if len(body) != m:
-        raise ValueError(f"edgelist: header declares {m} edges but body has {len(body)} lines")
-    edges = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"edgelist: malformed edge line {ln!r}")
+def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
+    """Rows of two integer fields, such as ``"u v"``, as int pairs."""
+    return [(int(a), int(b)) for a, b in map(str.split, rows)]
+
+
+class DataLines:
+    """The data lines of a text in one of the package's file formats.
+
+    ``rows`` holds the stripped lines that are neither blank nor comments
+    (lines starting with ``comment``).  Line numbers are counted again only
+    to report an error, so the parse loops do not track them.
+    """
+
+    def __init__(self, fmt: str, source: str | bytes | IO, comment: Literal["#", "c"] = "#"):
+        self.fmt = fmt
+        self.comment = comment
+        self.text = read_text(source)
+        self.rows = [ln for ln in map(str.strip, self.text.splitlines()) if ln and not ln.startswith(comment)]
+
+    def error(self, i: int, what: str, expected: str | None = None) -> ValueError:
+        """A ValueError about ``rows[i]`` that names the format and the 1-based line."""
+        lines = enumerate(map(str.strip, self.text.splitlines()), 1)
+        numbers = (k for k, ln in lines if ln and not ln.startswith(self.comment))
+        tail = "" if expected is None else f", expected {expected!r}"
+        return ValueError(f"{self.fmt}: {what} at line {next(islice(numbers, i, None))}{tail}")
+
+    def ints(self, start: int, stop: int | None, kind: str, shape: str,
+             convert: Callable[[list[str]], Sequence]) -> Sequence:
+        """Return ``convert(rows[start:stop])``, one comprehension of int() calls
+        over the rows.  If it fails, name the first row that fails on its own as
+        a malformed ``kind`` whose fields should read ``shape``."""
+        rows = self.rows[start:stop]
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            return convert(rows)
         except ValueError:
-            raise ValueError(f"edgelist: malformed edge line {ln!r}") from None
-    return build_graph(n, edges)
+            for i, row in enumerate(rows, start):
+                try:
+                    convert([row])
+                except ValueError:
+                    raise self.error(i, f"malformed {kind} {row!r}", shape) from None
+            raise
 
 
-def _parse_dimacs(text: str) -> Graph:
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ValueError("dimacs: repeated 'p' line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"dimacs: malformed problem line {line!r}, expected 'p edge n m'")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ValueError(f"dimacs: malformed problem line {line!r}") from None
-        elif parts[0] == "e":
-            if n is None:
-                raise ValueError("dimacs: edge line before 'p edge n m' line")
-            if len(parts) != 3:
-                raise ValueError(f"dimacs: malformed edge line {line!r}")
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise ValueError(f"dimacs: malformed edge line {line!r}") from None
-        else:
-            raise ValueError(f"dimacs: unknown line prefix {parts[0]!r}")
-    if n is None or m is None:
+def _parse_edgelist(source: str | bytes | IO) -> Graph:
+    lines = DataLines("edgelist", source)
+    if not lines.rows:
+        raise ValueError("edgelist: missing 'n m' header line")
+    n, m = lines.ints(0, 1, "header", "n m", int_pairs)[0]
+    if len(lines.rows) - 1 != m:
+        raise ValueError(f"edgelist: header declares {m} edges but body has {len(lines.rows) - 1} lines")
+    return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
+
+
+def _parse_dimacs(source: str | bytes | IO) -> Graph:
+    lines = DataLines("dimacs", source, comment="c")
+    rows = lines.rows
+    if not rows:
         raise ValueError("dimacs: missing 'p edge n m' line")
-    if len(edges) != m:
-        raise ValueError(f"dimacs: problem line declares {m} edges but found {len(edges)}")
-    return build_graph(n, edges)
+    for i, row in enumerate(rows):
+        tag = row.split(None, 1)[0]
+        if tag != ("e" if i else "p"):
+            known = {"e": "edge line before 'p edge n m' line", "p": "repeated 'p' line"}
+            raise lines.error(i, known.get(tag, f"unknown line prefix {tag!r}"))
+    if rows[0].split()[1:2] != ["edge"]:
+        raise lines.error(0, f"malformed problem line {rows[0]!r}", "p edge n m")
+    n, m = lines.ints(0, 1, "problem line", "p edge n m",
+                      lambda r: [(int(a), int(b)) for _, _, a, b in map(str.split, r)])[0]
+    if len(rows) - 1 != m:
+        raise ValueError(f"dimacs: problem line declares {m} edges but found {len(rows) - 1}")
+    return build_graph(n, lines.ints(1, None, "line", "e u v",
+                                     lambda r: [(int(u), int(v)) for _, u, v in map(str.split, r)]))
 
 
 def load_graph(source: str | bytes | IO, fmt: str = "edgelist") -> Graph:
     """Parse a graph from text, bytes, or a readable stream."""
-    text = read_text(source)
     if fmt == "edgelist":
-        return _parse_edgelist(text)
+        return _parse_edgelist(source)
     if fmt == "dimacs":
-        return _parse_dimacs(text)
+        return _parse_dimacs(source)
     raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
 
 

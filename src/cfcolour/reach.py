@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import IO, Mapping, Sequence
 
-from .graph import Graph, read_text
+from .graph import DataLines, Graph
 
 
 @dataclass(frozen=True)
@@ -303,16 +303,8 @@ def make_ordering(g: Graph, strategy: str) -> VertexOrdering:
 
 def load_ordering(source: str | bytes | IO) -> VertexOrdering:
     """Read an ordering file: one 1-based vertex id per line, top line first."""
-    seq = []
-    for ln in read_text(source).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            seq.append(int(ln))
-        except ValueError:
-            raise ValueError(f"ordering file: malformed line {ln!r}") from None
-    return VertexOrdering(tuple(seq))
+    lines = DataLines("ordering file", source)
+    return VertexOrdering(lines.ints(0, None, "line", "v", lambda rows: tuple(map(int, rows))))
 
 
 def save_ordering(ordering: VertexOrdering) -> str:

@@ -46,6 +46,20 @@ def test_gen_non_numeric_params_exit_2(capsys):
     assert "malformed parameters 'x'" in capsys.readouterr().err
 
 
+def test_gen_non_finite_params_exit_2(capsys):
+    assert main(["gen", "--family", "path", "--params", "1e999"]) == 2
+    assert capsys.readouterr().err == "error: expected integer parameter, got inf\n"
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("cfcolour.cli._cmd_gen", broken)
+    assert main(["gen", "--family", "path", "--params", "4"]) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+
 def test_scol_strategy(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.el", GenSpec("cycle", (5,)))
     assert main(["scol", "--graph", graph, "--s", "2", "--strategy", "identity"]) == 0
@@ -76,12 +90,13 @@ def test_scol_order_file(tmp_path, capsys):
     assert capsys.readouterr().out == "2\n"
 
 
-def test_scol_order_length_mismatch(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["scol", "--s", "2"], ["colour"]], ids=["scol", "colour"])
+def test_scol_order_length_mismatch(tmp_path, capsys, command):
     graph = write_graph(tmp_path, "p4.el", GenSpec("path", (4,)))
     order = tmp_path / "short.ord"
     order.write_text("1\n2\n3\n")
-    assert main(["scol", "--graph", graph, "--s", "2", "--order", str(order)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main([*command, "--graph", graph, "--order", str(order)]) == 2
+    assert "error: ordering covers 3 vertices, graph has 4" in capsys.readouterr().err
 
 
 def test_colour_prints_summary_and_verifies(tmp_path, capsys):
@@ -113,6 +128,21 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out.startswith("fail witness=1")
+
+
+def test_input_errors_name_file_and_line(tmp_path, monkeypatch, capsys):
+    graph = write_graph(tmp_path, "p4.el", GenSpec("path", (4,)))
+    bad = tmp_path / "bad.colouring"
+    bad.write_text("4 3\n# colours\n1 1\n2 two\n3 1\n4 2\n")
+    assert main(["verify", "--graph", graph, "--colouring", str(bad), "--criterion", "odd"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: colouring file: malformed line '2 two' at line 4, expected 'v colour'\n"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 3\n1 2\n\n2 3 4\n3 4\n"))
+    assert main(["colour", "--graph", "-", "--strategy", "identity"]) == 2
+    assert capsys.readouterr().err == (
+        "error: <stdin>: edgelist: malformed line '2 3 4' at line 4, expected 'u v'\n"
+    )
 
 
 def test_exact_variants(tmp_path, capsys):

@@ -67,6 +67,8 @@ def test_colouring_file_round_trip():
         ("1 1\n1 1 1\n", "malformed line"),
         ("x 2\n", "colouring file: malformed header"),
         ("1 2\n1 a\n", "colouring file: malformed line"),
+        ("# n c\n\nx 2\n", "colouring file: malformed header 'x 2' at line 3, expected 'n c'"),
+        ("1 2\n# v colour\n1 a\n", "colouring file: malformed line '1 a' at line 3, expected 'v colour'"),
     ],
 )
 def test_colouring_file_errors(text, fragment):

@@ -111,7 +111,17 @@ def test_parse_genspec_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text", ["path 4", "gnp(8,0.3,seed=x)", "path(x)", "grid(2,,3)", "gnp(8,0.3,seed=1.5)"]
+    "text",
+    [
+        "path 4",
+        "gnp(8,0.3,seed=x)",
+        "path(x)",
+        "grid(2,,3)",
+        "gnp(8,0.3,seed=1.5)",
+        "path(1e999)",
+        "grid(2,1e400)",
+        "gnp(1e999,0.3)",
+    ],
 )
 def test_parse_genspec_rejects_garbage(text):
     with pytest.raises(ValueError, match=re.escape(f"malformed generator spec {text!r}")):

@@ -68,6 +68,9 @@ def test_load_edgelist_out_of_range_endpoint():
         ("3\n", "malformed header"),
         ("3 2\n1 2\n", "declares 2 edges"),
         ("3 1\n1 2\n2 3\n", "declares 1 edges"),
+        ("# n m\n\n3\n", "edgelist: malformed header '3' at line 3, expected 'n m'"),
+        ("3 2\n1 2\n# next\n2 x\n", "edgelist: malformed line '2 x' at line 4, expected 'u v'"),
+        ("3 1\n\n1 2 3\n", "malformed line '1 2 3' at line 3"),
     ],
 )
 def test_load_edgelist_errors(text, fragment):
@@ -83,6 +86,12 @@ def test_load_edgelist_errors(text, fragment):
         ("p edge 2 2\ne 1 2\n", "declares 2 edges"),
         ("p foo 2 1\ne 1 2\n", "malformed problem line"),
         ("p edge 2 1\ne 1 2\np edge 2 1\n", "repeated"),
+        ("c hi\ne 1 2\n", "dimacs: edge line before 'p edge n m' line at line 2"),
+        ("p edge 2 1\n\nx 1 2\n", "dimacs: unknown line prefix 'x' at line 3"),
+        ("c\np foo 2 1\ne 1 2\n", "dimacs: malformed problem line 'p foo 2 1' at line 2, expected 'p edge n m'"),
+        ("c\np edge 2\n", "malformed problem line 'p edge 2' at line 2"),
+        ("p edge 2 1\nc\ne 1 2\np edge 2 1\n", "dimacs: repeated 'p' line at line 4"),
+        ("p edge 2 1\nc\ne 1 x\n", "dimacs: malformed line 'e 1 x' at line 3, expected 'e u v'"),
     ],
 )
 def test_load_dimacs_errors(text, fragment):
