@@ -3,8 +3,12 @@
 Paths given as "-" read standard input or write standard output.  Exit codes:
 0 on success, 1 when a verification or bound predicate fails, 2 on usage or
 input errors (a parse error names the file and line), 3 on an internal error
-(any other exception, such as a search too deep for the recursion limit, or
-an exhausted greedy palette).
+(any other exception, such as an exhausted greedy palette).
+
+The exact searches are iterative, so no n within ``--limit`` reaches the
+recursion limit.  ``scol --exact`` searches only between degeneracy + 1 and
+the back-reach of the ``min_backreach`` ordering; ``exact`` rejects a colour
+as soon as it completes a neighbourhood that fails the variant.
 """
 
 from __future__ import annotations

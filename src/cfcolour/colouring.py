@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Literal, Sequence
+from typing import IO, Iterable, Literal, Sequence
 
 from .graph import DataLines, Graph, int_pairs
 from .reach import VertexOrdering, _reach
@@ -99,16 +99,19 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     return Colouring(colours=tuple(colour_of[1:]), palette=palette)
 
 
+def _holds(colours: Iterable[int], odd: bool) -> bool:
+    # The odd or conflict-free condition on the colours of one neighbourhood.
+    counts = Counter(colours).values()
+    return any(k % 2 == 1 for k in counts) if odd else 1 in counts
+
+
 def _first_violation(g: Graph, colours: Sequence[int], criterion: Criterion) -> int | None:
     # First vertex whose non-empty neighbourhood fails the odd or conflict-free
     # condition; colours[w - 1] is the colour of vertex w.
     odd = criterion == "odd"
     for v in g.vertices:
         nbrs = g.adjacency[v]
-        if not nbrs:
-            continue
-        counts = Counter(colours[w - 1] for w in nbrs).values()
-        if not (any(k % 2 == 1 for k in counts) if odd else 1 in counts):
+        if nbrs and not _holds((colours[w - 1] for w in nbrs), odd):
             return v
     return None
 
@@ -145,10 +148,12 @@ def verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -> Verdict:
 def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, Colouring]:
     """Smallest palette admitting a proper colouring that satisfies ``variant``.
 
-    Backtracking over vertices in id order with colours 1..c for growing c,
-    pruning improper partial assignments; a vertex may introduce at most one
-    new colour beyond those already used, which kills colour-permutation
-    symmetry.  The odd and conflict_free conditions are checked at leaves.
+    For c = 1, 2, ... a depth-first search colours the vertices in id order
+    with colours 1..c; a vertex may introduce at most one new colour beyond
+    those already used, which kills colour-permutation symmetry.  A colour is
+    rejected as soon as it makes an edge monochromatic, or completes the
+    neighbourhood of some vertex w (it goes on the largest neighbour of w)
+    that then fails the odd or conflict-free condition.
     """
     if variant not in CRITERIA:
         raise ValueError(f"unknown variant {variant!r}, expected one of {CRITERIA}")
@@ -156,30 +161,41 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
         raise ValueError(
             f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
         )
-    if g.n == 0:
+    n, adj = g.n, g.adjacency
+    if n == 0:
         return 0, Colouring(colours=(), palette=0)
-
-    colours = [0] * (g.n + 1)
-
-    def search(v: int, introduced: int, c: int) -> list[int] | None:
-        if v > g.n:
-            flat = colours[1:]  # properness is enforced during the search
-            return flat if variant == "proper" or _first_violation(g, flat, variant) is None else None
-        top = min(c, introduced + 1)
-        for colour in range(1, top + 1):
-            if any(colours[w] == colour for w in g.adjacency[v] if w < v):
-                continue
-            colours[v] = colour
-            found = search(v + 1, max(introduced, colour), c)
-            if found is not None:
-                return found
-            colours[v] = 0
-        return None
-
-    for c in range(1, g.n + 1):
-        found = search(1, 0, c)
-        if found is not None:
-            return c, Colouring(colours=tuple(found), palette=c)
+    earlier = [[w for w in a if w < v] for v, a in enumerate(adj)]
+    # closes[v]: the vertices whose neighbourhood is fully coloured once v is.
+    closes: list[list[int]] = [[] for _ in adj]
+    if variant != "proper":
+        for w in g.vertices:
+            if adj[w]:
+                closes[adj[w][-1]].append(w)
+    odd = variant == "odd"
+    for c in range(1, n + 1):
+        # colours[v] is v's current colour (0 while unset); used[v] is the
+        # largest colour among vertices 1..v-1.
+        colours = [0] * (n + 1)
+        used = [0] * (n + 2)
+        v = 1
+        while 1 <= v <= n:
+            top = min(c, used[v] + 1)
+            colour = colours[v] + 1
+            while colour <= top:
+                colours[v] = colour
+                if all(colours[w] != colour for w in earlier[v]) and all(
+                    _holds((colours[u] for u in adj[w]), odd) for w in closes[v]
+                ):
+                    break
+                colour += 1
+            if colour > top:
+                colours[v] = 0
+                v -= 1
+            else:
+                used[v + 1] = max(used[v], colour)
+                v += 1
+        if v > n:
+            return c, Colouring(colours=tuple(colours[1:]), palette=c)
     raise AssertionError("a colouring with n distinct colours always satisfies every variant")
 
 

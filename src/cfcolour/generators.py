@@ -6,7 +6,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .graph import Graph, build_graph
+from .graph import MAX_VERTICES, Graph, build_graph, too_many_vertices
 
 FAMILIES = (
     "path",
@@ -67,43 +67,53 @@ def _validate_params(family: str, params: tuple[int | float, ...]) -> None:
 
     if family == "path":
         need(1, "n")
-        if _ints(params)[0] < 1:
+        (n,) = _ints(params)
+        if n < 1:
             raise ValueError("path requires n >= 1")
     elif family == "cycle":
         need(1, "n")
-        if _ints(params)[0] < 3:
+        (n,) = _ints(params)
+        if n < 3:
             raise ValueError("cycle requires n >= 3")
     elif family == "complete":
         need(1, "n")
-        if _ints(params)[0] < 1:
+        (n,) = _ints(params)
+        if n < 1:
             raise ValueError("complete requires n >= 1")
     elif family == "star":
         need(1, "leaves")
-        if _ints(params)[0] < 0:
+        n = _ints(params)[0] + 1
+        if n < 1:
             raise ValueError("star requires leaves >= 0")
     elif family == "complete_bipartite":
         need(2, "a, b")
         a, b = _ints(params)
         if a < 1 or b < 1:
             raise ValueError("complete_bipartite requires a >= 1 and b >= 1")
+        n = a + b
     elif family == "grid":
         need(2, "rows, cols")
         r, c = _ints(params)
         if r < 1 or c < 1:
             raise ValueError("grid requires rows >= 1 and cols >= 1")
+        n = r * c
     elif family == "gnp":
         need(2, "n, p")
         if isinstance(params[0], float) and not params[0].is_integer():
             raise ValueError("gnp requires integer n")
-        if int(params[0]) < 0:
+        n = int(params[0])
+        if n < 0:
             raise ValueError("gnp requires n >= 0")
         p = float(params[1])
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"gnp requires 0 <= p <= 1, got {p}")
-    elif family == "planar3tree":
+    else:  # planar3tree
         need(1, "n")
-        if _ints(params)[0] < 3:
+        (n,) = _ints(params)
+        if n < 3:
             raise ValueError("planar3tree requires n >= 3")
+    if n > MAX_VERTICES:
+        raise ValueError(too_many_vertices(n))
 
 
 def generate(spec: GenSpec) -> Graph:

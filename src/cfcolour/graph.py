@@ -8,6 +8,10 @@ from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
 
 FORMATS = ("edgelist", "dimacs")
 
+# The largest vertex count a graph may declare.  It is checked before anything
+# is allocated, so a short header or spec cannot ask for unbounded memory.
+MAX_VERTICES = 10**6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -55,6 +59,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(too_many_vertices(n))
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
@@ -71,6 +77,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
+
+
+def too_many_vertices(n: int) -> str:
+    return f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
 
 
 def read_text(source: str | bytes | IO) -> str:
@@ -131,6 +141,8 @@ def _parse_edgelist(source: str | bytes | IO) -> Graph:
     if not lines.rows:
         raise ValueError("edgelist: missing 'n m' header line")
     n, m = lines.ints(0, 1, "header", "n m", int_pairs)[0]
+    if n > MAX_VERTICES:
+        raise lines.error(0, too_many_vertices(n))
     if len(lines.rows) - 1 != m:
         raise ValueError(f"edgelist: header declares {m} edges but body has {len(lines.rows) - 1} lines")
     return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
@@ -150,6 +162,8 @@ def _parse_dimacs(source: str | bytes | IO) -> Graph:
         raise lines.error(0, f"malformed problem line {rows[0]!r}", "p edge n m")
     n, m = lines.ints(0, 1, "problem line", "p edge n m",
                       lambda r: [(int(a), int(b)) for _, _, a, b in map(str.split, r)])[0]
+    if n > MAX_VERTICES:
+        raise lines.error(0, too_many_vertices(n))
     if len(rows) - 1 != m:
         raise ValueError(f"dimacs: problem line declares {m} edges but found {len(rows) - 1}")
     return build_graph(n, lines.ints(1, None, "line", "e u v",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import IO, Mapping, Sequence
 
 from .graph import DataLines, Graph
@@ -69,11 +68,16 @@ class VertexOrdering:
 
 @dataclass(frozen=True)
 class ReachProfile:
-    """Per-vertex reach-set sizes for one ordering at one radius."""
+    """Per-vertex reach-set sizes for one ordering at one radius.
+
+    ``argmax`` is the smallest vertex whose reach set attains ``max``, the
+    witness of the back-reach; it is None for the empty graph.
+    """
 
     radius: int
     sizes: Mapping[int, int]
     max: int
+    argmax: int | None
 
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
@@ -127,7 +131,9 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> Reach
     _check_args(g, ordering, radius)
     adj, pos = g.adjacency, ordering.pos
     sizes = {v: len(_reach(adj, pos, v, radius)) for v in g.vertices}
-    return ReachProfile(radius=radius, sizes=sizes, max=max(sizes.values(), default=0))
+    top = max(sizes.values(), default=0)
+    argmax = next((v for v, size in sizes.items() if size == top), None)
+    return ReachProfile(radius=radius, sizes=sizes, max=top, argmax=argmax)
 
 
 def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
@@ -218,13 +224,56 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     return VertexOrdering(tuple(reversed(placed_rtl)))
 
 
+def _within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) -> list[int] | None:
+    # An ordering with back-reach at most k, as the vertices placed right to
+    # left, or None.  Depth-first over right-sets: a vertex may be placed only
+    # while its reach set, fixed once everything to its right is, has at most
+    # k members.  placed[w] is 1 when w is in the right-set, so it serves as
+    # the position array of _reach for every unplaced vertex.  A right-set
+    # whose every continuation failed goes into `dead`, so each right-set is
+    # expanded at most once.
+    placed = [0] * (n + 1)
+    full = (1 << n) - 1
+    dead: set[int] = set()
+    mask = 0
+    placed_rtl: list[int] = []
+
+    def candidates() -> list[int]:
+        # Largest id first, so that pop() tries the smallest id first.
+        return [v for v in range(n, 0, -1) if not placed[v] and len(_reach(adj, placed, v, radius)) <= k]
+
+    stack = [candidates()]
+    while stack:
+        if mask == full:
+            return placed_rtl
+        if not stack[-1]:
+            dead.add(mask)
+            stack.pop()
+            if placed_rtl:
+                v = placed_rtl.pop()
+                placed[v] = 0
+                mask ^= 1 << (v - 1)
+            continue
+        v = stack[-1].pop()
+        if mask | 1 << (v - 1) in dead:
+            continue
+        placed[v] = 1
+        mask |= 1 << (v - 1)
+        placed_rtl.append(v)
+        stack.append(candidates())
+    return None
+
+
 def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrdering]:
     """Exact s-strong colouring number with a witness ordering.
 
-    Minimises the back-reach over all orderings by dynamic programming over
-    right-sets: once the set of vertices after v is fixed, v's reach size is
-    determined, so orderings sharing a suffix share subproblems.  The witness
-    is one optimal ordering; only the value is unique.
+    The value lies between degeneracy + 1 (which is scol_1, and scol_1 <=
+    scol_s) and the back-reach of ``min_backreach_order``.  Each k from the
+    lower bound up is tested by a depth-first search for an ordering with
+    back-reach at most k; the first k that has one is the value.  When none
+    below the upper bound has, the value is the upper bound and the witness
+    is the ``min_backreach`` ordering.  The witness is one optimal ordering;
+    only the value is unique.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -232,48 +281,13 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
         raise ValueError(
             f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
         )
-    n = g.n
-    if n == 0:
-        return 0, VertexOrdering(())
-    adj = g.adjacency
-    full = (1 << n) - 1
-
-    def placed(mask: int) -> list[int]:
-        # placed[w] is 1 when w is in mask, i.e. sits after every unplaced vertex.
-        return [0] + [mask >> (w - 1) & 1 for w in range(1, n + 1)]
-
-    @lru_cache(maxsize=None)
-    def best(mask: int) -> int:
-        # Minimum achievable max reach over the vertices not yet placed,
-        # given that `mask` holds everything already placed to the right.
-        if mask == full:
-            return 0
-        pos = placed(mask)
-        out = n + 1
-        for v in range(1, n + 1):
-            if pos[v]:
-                continue
-            size = len(_reach(adj, pos, v, radius))
-            if size >= out:
-                continue
-            out = min(out, max(size, best(mask | (1 << (v - 1)))))
-        return out
-
-    value = best(0)
-    placed_rtl: list[int] = []
-    mask = 0
-    while mask != full:
-        pos = placed(mask)
-        for v in range(1, n + 1):
-            if pos[v]:
-                continue
-            size = len(_reach(adj, pos, v, radius))
-            if max(size, best(mask | (1 << (v - 1)))) <= value:
-                placed_rtl.append(v)
-                mask |= 1 << (v - 1)
-                break
-    best.cache_clear()
-    return value, VertexOrdering(tuple(reversed(placed_rtl)))
+    heuristic = min_backreach_order(g)
+    ub = back_reach_profile(g, heuristic, radius).max
+    for k in range(degeneracy_order(g)[1] + 1, ub):
+        placed_rtl = _within(g.adjacency, g.n, radius, k)
+        if placed_rtl is not None:
+            return k, VertexOrdering(tuple(reversed(placed_rtl)))
+    return ub, heuristic
 
 
 STRATEGIES = ("identity", "reverse", "random", "degeneracy", "min_backreach")

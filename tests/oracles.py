@@ -1,9 +1,12 @@
 """Brute-force oracles, kept deliberately literal and independent of the
 library's search strategies."""
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from cfcolour import Colouring, Graph, VertexOrdering, build_graph
+from cfcolour.colouring import CRITERIA, Criterion, _first_violation
+from cfcolour.reach import _reach
 
 
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
@@ -193,3 +196,107 @@ def reference_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouri
                     blocked.add(colour_of[pi])
         colour_of[v] = next(c for c in range(1, palette + 1) if c not in blocked)
     return Colouring(colours=tuple(colour_of[v] for v in g.vertices), palette=palette)
+
+
+# The exact oracles before they pruned during the search: a memoised
+# recursive DP over right-sets, and backtracking that checks the odd and
+# conflict-free conditions only at full assignments.
+
+
+def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrdering]:
+    """Exact s-strong colouring number with a witness ordering.
+
+    Minimises the back-reach over all orderings by dynamic programming over
+    right-sets: once the set of vertices after v is fixed, v's reach size is
+    determined, so orderings sharing a suffix share subproblems.  The witness
+    is one optimal ordering; only the value is unique.
+    """
+    if radius < 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    if g.n > limit:
+        raise ValueError(
+            f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
+        )
+    n = g.n
+    if n == 0:
+        return 0, VertexOrdering(())
+    adj = g.adjacency
+    full = (1 << n) - 1
+
+    def placed(mask: int) -> list[int]:
+        # placed[w] is 1 when w is in mask, i.e. sits after every unplaced vertex.
+        return [0] + [mask >> (w - 1) & 1 for w in range(1, n + 1)]
+
+    @lru_cache(maxsize=None)
+    def best(mask: int) -> int:
+        # Minimum achievable max reach over the vertices not yet placed,
+        # given that `mask` holds everything already placed to the right.
+        if mask == full:
+            return 0
+        pos = placed(mask)
+        out = n + 1
+        for v in range(1, n + 1):
+            if pos[v]:
+                continue
+            size = len(_reach(adj, pos, v, radius))
+            if size >= out:
+                continue
+            out = min(out, max(size, best(mask | (1 << (v - 1)))))
+        return out
+
+    value = best(0)
+    placed_rtl: list[int] = []
+    mask = 0
+    while mask != full:
+        pos = placed(mask)
+        for v in range(1, n + 1):
+            if pos[v]:
+                continue
+            size = len(_reach(adj, pos, v, radius))
+            if max(size, best(mask | (1 << (v - 1)))) <= value:
+                placed_rtl.append(v)
+                mask |= 1 << (v - 1)
+                break
+    best.cache_clear()
+    return value, VertexOrdering(tuple(reversed(placed_rtl)))
+
+
+def reference_exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, Colouring]:
+    """Smallest palette admitting a proper colouring that satisfies ``variant``.
+
+    Backtracking over vertices in id order with colours 1..c for growing c,
+    pruning improper partial assignments; a vertex may introduce at most one
+    new colour beyond those already used, which kills colour-permutation
+    symmetry.  The odd and conflict_free conditions are checked at leaves.
+    """
+    if variant not in CRITERIA:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {CRITERIA}")
+    if g.n > limit:
+        raise ValueError(
+            f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
+        )
+    if g.n == 0:
+        return 0, Colouring(colours=(), palette=0)
+
+    colours = [0] * (g.n + 1)
+
+    def search(v: int, introduced: int, c: int) -> list[int] | None:
+        if v > g.n:
+            flat = colours[1:]  # properness is enforced during the search
+            return flat if variant == "proper" or _first_violation(g, flat, variant) is None else None
+        top = min(c, introduced + 1)
+        for colour in range(1, top + 1):
+            if any(colours[w] == colour for w in g.adjacency[v] if w < v):
+                continue
+            colours[v] = colour
+            found = search(v + 1, max(introduced, colour), c)
+            if found is not None:
+                return found
+            colours[v] = 0
+        return None
+
+    for c in range(1, g.n + 1):
+        found = search(1, 0, c)
+        if found is not None:
+            return c, Colouring(colours=tuple(found), palette=c)
+    raise AssertionError("a colouring with n distinct colours always satisfies every variant")

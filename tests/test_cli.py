@@ -51,6 +51,18 @@ def test_gen_non_finite_params_exit_2(capsys):
     assert capsys.readouterr().err == "error: expected integer parameter, got inf\n"
 
 
+def test_too_many_vertices_exit_2(tmp_path, capsys):
+    assert main(["gen", "--family", "path", "--params", "1e300"]) == 2
+    assert "exceeds the limit of 1000000" in capsys.readouterr().err
+    for fmt, text in (("edgelist", "10000000000 0\n"), ("dimacs", "p edge 10000000000 0\n")):
+        path = tmp_path / f"huge.{fmt}"
+        path.write_text(text)
+        assert main(["scol", "--graph", str(path), "--format", fmt, "--s", "2", "--strategy", "identity"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {fmt}: vertex count 10000000000 exceeds the limit of 1000000 at line 1\n"
+        )
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def broken(args):
         raise KeyError("boom")
@@ -160,9 +172,21 @@ def test_exact_limit_exceeded_is_input_error(tmp_path, capsys):
     assert main(["exact", "--graph", graph, "--variant", "proper", "--limit", "12"]) == 0
 
 
-def test_exact_recursion_overflow_is_internal_error(tmp_path, capsys):
+def test_exact_searches_are_iterative_on_long_paths(tmp_path, capsys):
     graph = write_graph(tmp_path, "p1500.el", GenSpec("path", (1500,)))
-    assert main(["exact", "--graph", graph, "--variant", "proper", "--limit", "5000"]) == 3
+    assert main(["exact", "--graph", graph, "--variant", "proper", "--limit", "5000"]) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert main(["scol", "--graph", graph, "--s", "2", "--exact", "--limit", "5000"]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+def test_exact_recursion_overflow_is_internal_error(tmp_path, monkeypatch, capsys):
+    def too_deep(g, variant, limit):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("cfcolour.cli.exact_chromatic", too_deep)
+    graph = write_graph(tmp_path, "p4.el", GenSpec("path", (4,)))
+    assert main(["exact", "--graph", graph, "--variant", "proper"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError")
     assert len(err.splitlines()) == 1

@@ -1,5 +1,5 @@
-"""The single reach kernel and the heap orderers against the earlier reach,
-orderer and greedy code."""
+"""The single reach kernel, the heap orderers and the pruning exact oracles
+against the earlier reach, orderer, greedy and exact-search code."""
 
 import random
 from itertools import combinations
@@ -13,12 +13,17 @@ from cfcolour import (
     back_reach_profile,
     build_graph,
     degeneracy_order,
+    exact_chromatic,
+    exact_scol,
     generate,
     greedy_cf_colouring,
     min_backreach_order,
+    verify_colouring,
 )
 from oracles import (
     reference_degeneracy_order,
+    reference_exact_chromatic,
+    reference_exact_scol,
     reference_greedy_cf_colouring,
     reference_min_backreach_order,
     reference_profile_sizes,
@@ -80,3 +85,44 @@ def test_heap_orderers_match_reference_code(g):
 )
 def test_heap_orderers_match_reference_code_on_corpus_families(family, params, seed):
     assert_orderers_match_references(generate(GenSpec(family, params, seed)))
+
+
+@st.composite
+def small_graph(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graph(), st.integers(1, 3), st.sampled_from(["proper", "odd", "conflict_free"]))
+def test_exact_oracles_match_reference_code(g, radius, variant):
+    value, ordering = exact_scol(g, radius)
+    assert value == reference_exact_scol(g, radius)[0]
+    assert back_reach_profile(g, ordering, radius).max == value
+    chi, col = exact_chromatic(g, variant)
+    assert chi == reference_exact_chromatic(g, variant)[0]
+    assert col.palette == chi
+    assert verify_colouring(g, col, "proper").ok
+    assert verify_colouring(g, col, variant).ok
+
+
+# Graphs where degeneracy + 1 < scol_s < the min_backreach back-reach, so the
+# search both rules out some k and finds an ordering below the upper bound.
+@pytest.mark.parametrize(
+    "spec, radius",
+    [
+        (GenSpec("gnp", (8, 0.4), 62), 3),
+        (GenSpec("gnp", (9, 0.3), 103), 2),
+        (GenSpec("gnp", (10, 0.5), 3), 3),
+        (GenSpec("gnp", (10, 0.3), 107), 3),
+        (GenSpec("gnp", (10, 0.5), 32), 2),
+    ],
+    ids=str,
+)
+def test_exact_scol_search_beats_the_heuristic(spec, radius):
+    g = generate(spec)
+    value, ordering = exact_scol(g, radius, limit=10)
+    assert degeneracy_order(g)[1] + 1 < value < back_reach_profile(g, min_backreach_order(g), radius).max
+    assert value == reference_exact_scol(g, radius, limit=10)[0]
+    assert back_reach_profile(g, ordering, radius).max == value

@@ -128,6 +128,30 @@ def test_parse_genspec_rejects_garbage(text):
         parse_genspec(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "path(1e300)",
+        "cycle(1000001)",
+        "complete(1000001)",
+        "star(1000000)",
+        "complete_bipartite(500000,500001)",
+        "grid(1e6,1e6)",
+        "gnp(1000001,0.1)",
+        "planar3tree(1000001)",
+    ],
+)
+def test_parse_genspec_rejects_too_many_vertices(text):
+    with pytest.raises(ValueError, match=re.escape(f"malformed generator spec {text!r}: vertex count")) as err:
+        parse_genspec(text)
+    assert str(err.value).endswith("exceeds the limit of 1000000")
+
+
+def test_genspec_accepts_the_largest_vertex_count():
+    assert GenSpec("grid", (1000, 1000)).params == (1000, 1000)
+    assert GenSpec("star", (999999,)).params == (999999,)
+
+
 def test_parse_params():
     assert parse_params("") == ()
     assert parse_params(" 20, 50 ") == (20, 50)

@@ -1,11 +1,13 @@
 import io
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cfcolour import build_graph, load_graph, save_graph
+from cfcolour.graph import MAX_VERTICES
 
 
 def test_build_two_vertices_one_edge():
@@ -97,6 +99,28 @@ def test_load_edgelist_errors(text, fragment):
 def test_load_dimacs_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         load_graph(text, "dimacs")
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("edgelist", "10000000000 0\n"), ("dimacs", "c huge\np edge 10000000000 0\n")],
+)
+def test_vertex_count_limit_rejects_before_allocating(fmt, text):
+    line = text.count("\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            load_graph(text, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{fmt}: vertex count 10000000000 exceeds the limit of 1000000 at line {line}"
+    assert peak < 1 << 16
+
+
+def test_build_graph_rejects_too_many_vertices():
+    with pytest.raises(ValueError, match="exceeds the limit of 1000000"):
+        build_graph(MAX_VERTICES + 1, [])
 
 
 def test_load_accepts_bytes_and_streams():

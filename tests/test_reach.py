@@ -116,6 +116,15 @@ def test_profile_c5_identity():
     assert prof.max == 3
 
 
+def test_profile_argmax_is_smallest_vertex_attaining_max():
+    g = cycle(5)
+    assert back_reach_profile(g, VertexOrdering.identity(5), 2).argmax == 4
+    # Reversed, vertices 1 and 2 attain the max; 2 comes first in the order.
+    assert back_reach_profile(g, VertexOrdering.reverse(5), 2).argmax == 1
+    prof = back_reach_profile(build_graph(0, []), VertexOrdering(()), 2)
+    assert (prof.max, prof.argmax) == (0, None)
+
+
 def test_profile_k4_any_ordering():
     g = complete(4)
     for o in (VertexOrdering.identity(4), VertexOrdering.reverse(4), VertexOrdering((2, 4, 1, 3))):

@@ -1,5 +1,6 @@
 """Theorem 1 at scale: the greedy colouring along either orderer is proper, odd
-and conflict-free within a palette of 2r - 1, and the orderers stay fast."""
+and conflict-free within a palette of 2r - 1, and the orderers and the exact
+oracles stay fast."""
 
 import time
 
@@ -9,6 +10,8 @@ from cfcolour import (
     GenSpec,
     back_reach_profile,
     degeneracy_order,
+    exact_chromatic,
+    exact_scol,
     generate,
     greedy_cf_colouring,
     min_backreach_order,
@@ -19,6 +22,14 @@ from cfcolour import (
 # quadratic scans they replaced needed tens of seconds.  The bound leaves
 # room for a slow host without letting an O(n^2) regression through.
 ORDERER_BOUND_S = 10.0
+
+# The pruning exact oracles take at most about 25 ms per call below and well
+# under 0.1 s in all.  Checking the odd and conflict-free conditions only at
+# full colourings took 0.7 to 0.8 s per cycle(14) call, and the unbounded DP
+# over right-sets up to 1.3 s per planar3tree(17) call: the per-call bound
+# catches either on its own, which the total bound alone would not.
+EXACT_BOUND_S = 2.0
+EXACT_CALL_BOUND_S = 0.25
 
 
 @pytest.mark.parametrize(
@@ -40,3 +51,21 @@ def test_theorem1_contract_at_scale(spec):
         for criterion in ("proper", "odd", "conflict_free"):
             verdict = verify_colouring(g, col, criterion)
             assert verdict.ok, (name, criterion, verdict.witness, verdict.detail)
+
+
+def test_exact_oracles_prune_during_the_search():
+    cycle = generate(GenSpec("cycle", (14,)))
+    calls = [(f"{variant} cycle(14)", lambda v=variant: exact_chromatic(cycle, v, limit=14)[0])
+             for variant in ("odd", "conflict_free")]
+    for s in range(3):
+        for family, params in (("planar3tree", (17,)), ("gnp", (20, 0.2))):
+            g = generate(GenSpec(family, params, s))
+            calls.append((f"scol2 {family}{params} seed {s}", lambda g=g: exact_scol(g, 2, limit=g.n)[0]))
+    values, seconds = {}, {}
+    for label, call in calls:
+        started = time.perf_counter()
+        values[label] = call()
+        seconds[label] = time.perf_counter() - started
+    assert sum(seconds.values()) < EXACT_BOUND_S, seconds
+    assert max(seconds.values()) < EXACT_CALL_BOUND_S, seconds
+    assert list(values.values()) == [4, 4, 4, 4, 4, 5, 4, 5]
