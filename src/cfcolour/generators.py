@@ -5,21 +5,74 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from itertools import combinations, product
+from typing import Callable, NamedTuple
 
-from .graph import MAX_VERTICES, Graph, build_graph, too_many_vertices
+from .graph import Graph, build_graph, size_error
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "complete_bipartite",
-    "grid",
-    "gnp",
-    "planar3tree",
-)
 
-RANDOM_FAMILIES = ("gnp", "planar3tree")
+class Family(NamedTuple):
+    """One generator family.
+
+    ``params`` gives each parameter's name and minimum, or None for a
+    probability in [0, 1]; ``size`` maps the parameters to (vertices, edges),
+    or to (vertices, vertex pairs drawn) when ``counts`` says so; ``edges``
+    maps the parameters and a seeded ``random.Random`` to the edge list.
+    """
+
+    params: tuple[tuple[str, int | None], ...]
+    seeded: bool
+    size: Callable[..., tuple[int, int]]
+    edges: Callable[..., list[tuple[int, int]]]
+    counts: str = "edge"
+
+
+def _grid(r: int, c: int, rng: random.Random) -> list[tuple[int, int]]:
+    edges = []
+    for i in range(r):
+        for j in range(c):
+            v = i * c + j + 1  # row-major numbering
+            if j + 1 < c:
+                edges.append((v, v + 1))
+            if i + 1 < r:
+                edges.append((v, v + c))
+    return edges
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    # A pair becomes a tuple only once drawn: combinations() would build all n^2/2.
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+
+
+def _planar3tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    edges = [(1, 2), (2, 3), (1, 3)]
+    faces = [(1, 2, 3)]
+    for v in range(4, n + 1):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
+
+
+# gnp draws one number per vertex pair, in lexicographic order, whatever p is;
+# so its size counts the pairs, and the edge bound limits its time as well.
+TABLE = {
+    "path": Family((("n", 1),), False, lambda n: (n, n - 1),
+                   lambda n, rng: [(i, i + 1) for i in range(1, n)]),
+    "cycle": Family((("n", 3),), False, lambda n: (n, n),
+                    lambda n, rng: [(i, i + 1) for i in range(1, n)] + [(n, 1)]),
+    "complete": Family((("n", 1),), False, lambda n: (n, n * (n - 1) // 2),
+                       lambda n, rng: list(combinations(range(1, n + 1), 2))),
+    "star": Family((("leaves", 0),), False, lambda k: (k + 1, k),
+                   lambda k, rng: [(1, v) for v in range(2, k + 2)]),
+    "complete_bipartite": Family((("a", 1), ("b", 1)), False, lambda a, b: (a + b, a * b),
+                                 lambda a, b, rng: list(product(range(1, a + 1), range(a + 1, a + b + 1)))),
+    "grid": Family((("rows", 1), ("cols", 1)), False, lambda r, c: (r * c, r * (c - 1) + c * (r - 1)), _grid),
+    "gnp": Family((("n", 0), ("p", None)), True, lambda n, p: (n, n * (n - 1) // 2), _gnp, "vertex pair"),
+    "planar3tree": Family((("n", 3),), True, lambda n: (n, 3 * n - 6), _planar3tree),
+}
+
+FAMILIES = tuple(TABLE)
 
 
 @dataclass(frozen=True)
@@ -35,14 +88,12 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        _validate_params(self.family, self.params)
+        _checked(self)
 
     @property
     def graph_id(self) -> str:
         args = ",".join(_fmt_num(p) for p in self.params)
-        if self.family in RANDOM_FAMILIES:
+        if TABLE[self.family].seeded:
             args += f",seed={self.seed}"
         return f"{self.family}({args})"
 
@@ -51,122 +102,38 @@ def _fmt_num(x: int | float) -> str:
     return str(int(x)) if isinstance(x, int) or x == int(x) else repr(x)
 
 
-def _ints(params: tuple[int | float, ...]) -> list[int]:
-    out = []
-    for p in params:
-        if isinstance(p, float) and not p.is_integer():  # inf and nan included
-            raise ValueError(f"expected integer parameter, got {p}")
-        out.append(int(p))
-    return out
-
-
-def _validate_params(family: str, params: tuple[int | float, ...]) -> None:
-    def need(count: int, names: str) -> None:
-        if len(params) != count:
-            raise ValueError(f"{family} takes {count} parameter(s) ({names}), got {len(params)}")
-
-    if family == "path":
-        need(1, "n")
-        (n,) = _ints(params)
-        if n < 1:
-            raise ValueError("path requires n >= 1")
-    elif family == "cycle":
-        need(1, "n")
-        (n,) = _ints(params)
-        if n < 3:
-            raise ValueError("cycle requires n >= 3")
-    elif family == "complete":
-        need(1, "n")
-        (n,) = _ints(params)
-        if n < 1:
-            raise ValueError("complete requires n >= 1")
-    elif family == "star":
-        need(1, "leaves")
-        n = _ints(params)[0] + 1
-        if n < 1:
-            raise ValueError("star requires leaves >= 0")
-    elif family == "complete_bipartite":
-        need(2, "a, b")
-        a, b = _ints(params)
-        if a < 1 or b < 1:
-            raise ValueError("complete_bipartite requires a >= 1 and b >= 1")
-        n = a + b
-    elif family == "grid":
-        need(2, "rows, cols")
-        r, c = _ints(params)
-        if r < 1 or c < 1:
-            raise ValueError("grid requires rows >= 1 and cols >= 1")
-        n = r * c
-    elif family == "gnp":
-        need(2, "n, p")
-        if isinstance(params[0], float) and not params[0].is_integer():
-            raise ValueError("gnp requires integer n")
-        n = int(params[0])
-        if n < 0:
-            raise ValueError("gnp requires n >= 0")
-        p = float(params[1])
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"gnp requires 0 <= p <= 1, got {p}")
-    else:  # planar3tree
-        need(1, "n")
-        (n,) = _ints(params)
-        if n < 3:
-            raise ValueError("planar3tree requires n >= 3")
-    if n > MAX_VERTICES:
-        raise ValueError(too_many_vertices(n))
+def _checked(spec: GenSpec) -> tuple[Family, list[int | float], int]:
+    """The spec's family, its converted parameters and its vertex count; raises
+    ValueError unless every parameter is in range and the size within the bounds."""
+    family = TABLE.get(spec.family)
+    if family is None:
+        raise ValueError(f"unknown family {spec.family!r}, expected one of {FAMILIES}")
+    count, names = len(family.params), ", ".join(name for name, _ in family.params)
+    if len(spec.params) != count:
+        raise ValueError(f"{spec.family} takes {count} parameter(s) ({names}), got {len(spec.params)}")
+    args: list[int | float] = []
+    for (name, low), x in zip(family.params, spec.params):
+        if low is None:
+            if not 0 <= x <= 1:  # compared before float(), which overflows on huge ints
+                raise ValueError(f"{spec.family} requires 0 <= {name} <= 1, got {x}")
+            x = float(x)
+        else:
+            if isinstance(x, float) and not x.is_integer():  # inf and nan included
+                raise ValueError(f"expected integer parameter, got {x}")
+            x = int(x)
+            if x < low:
+                raise ValueError(f"{spec.family} requires {name} >= {low}")
+        args.append(x)
+    n, m = family.size(*args)
+    if reason := size_error(n, m, family.counts):
+        raise ValueError(reason)
+    return family, args, n
 
 
 def generate(spec: GenSpec) -> Graph:
     """Generate the graph described by ``spec``; deterministic per (family, params, seed)."""
-    f = spec.family
-    if f == "path":
-        (n,) = _ints(spec.params)
-        return build_graph(n, [(i, i + 1) for i in range(1, n)])
-    if f == "cycle":
-        (n,) = _ints(spec.params)
-        return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
-    if f == "complete":
-        (n,) = _ints(spec.params)
-        return build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
-    if f == "star":
-        (leaves,) = _ints(spec.params)
-        return build_graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
-    if f == "complete_bipartite":
-        a, b = _ints(spec.params)
-        return build_graph(a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)])
-    if f == "grid":
-        r, c = _ints(spec.params)
-        edges = []
-        for i in range(r):
-            for j in range(c):
-                v = i * c + j + 1  # row-major numbering
-                if j + 1 < c:
-                    edges.append((v, v + 1))
-                if i + 1 < r:
-                    edges.append((v, v + c))
-        return build_graph(r * c, edges)
-    if f == "gnp":
-        n = int(spec.params[0])
-        p = float(spec.params[1])
-        rng = random.Random(spec.seed)
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < p
-        ]
-        return build_graph(n, edges)
-    if f == "planar3tree":
-        (n,) = _ints(spec.params)
-        rng = random.Random(spec.seed)
-        edges = [(1, 2), (2, 3), (1, 3)]
-        faces = [(1, 2, 3)]
-        for v in range(4, n + 1):
-            a, b, c = faces.pop(rng.randrange(len(faces)))
-            edges += [(a, v), (b, v), (c, v)]
-            faces += [(a, b, v), (a, c, v), (b, c, v)]
-        return build_graph(n, edges)
-    raise AssertionError(f"unhandled family {f!r}")
+    family, args, n = _checked(spec)
+    return build_graph(n, family.edges(*args, random.Random(spec.seed)))
 
 
 _SPEC_RE = re.compile(r"^([a-z_][a-z0-9_]*)\((.*)\)$")

@@ -8,9 +8,12 @@ from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
 
 FORMATS = ("edgelist", "dimacs")
 
-# The largest vertex count a graph may declare.  It is checked before anything
-# is allocated, so a short header or spec cannot ask for unbounded memory.
+# The largest vertex and edge counts a graph may declare.  They are checked
+# before anything is allocated, so a short header or spec cannot ask for
+# unbounded memory.  The paper's sparse classes have m = O(n); 5 * 10**6 edges
+# admit planar3tree(10**6) and grid(1000, 1000), and reject complete(3163).
 MAX_VERTICES = 10**6
+MAX_EDGES = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    if n > MAX_VERTICES:
-        raise ValueError(too_many_vertices(n))
+    if reason := size_error(n, 0):
+        raise ValueError(reason)
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
@@ -79,8 +82,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
 
 
-def too_many_vertices(n: int) -> str:
-    return f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+def size_error(n: int, m: int, counts: str = "edge") -> str | None:
+    """Why a graph of ``n`` vertices and ``m`` edges is refused, or None if it is
+    within the bounds.  ``counts`` names what ``m`` counts; vertices go first."""
+    if n > MAX_VERTICES:
+        return f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+    if m > MAX_EDGES:
+        return f"{counts} count {m} exceeds the limit of {MAX_EDGES}"
+    return None
 
 
 def read_text(source: str | bytes | IO) -> str:
@@ -141,8 +150,8 @@ def _parse_edgelist(source: str | bytes | IO) -> Graph:
     if not lines.rows:
         raise ValueError("edgelist: missing 'n m' header line")
     n, m = lines.ints(0, 1, "header", "n m", int_pairs)[0]
-    if n > MAX_VERTICES:
-        raise lines.error(0, too_many_vertices(n))
+    if reason := size_error(n, m):
+        raise lines.error(0, reason)
     if len(lines.rows) - 1 != m:
         raise ValueError(f"edgelist: header declares {m} edges but body has {len(lines.rows) - 1} lines")
     return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
@@ -162,8 +171,8 @@ def _parse_dimacs(source: str | bytes | IO) -> Graph:
         raise lines.error(0, f"malformed problem line {rows[0]!r}", "p edge n m")
     n, m = lines.ints(0, 1, "problem line", "p edge n m",
                       lambda r: [(int(a), int(b)) for _, _, a, b in map(str.split, r)])[0]
-    if n > MAX_VERTICES:
-        raise lines.error(0, too_many_vertices(n))
+    if reason := size_error(n, m):
+        raise lines.error(0, reason)
     if len(rows) - 1 != m:
         raise ValueError(f"dimacs: problem line declares {m} edges but found {len(rows) - 1}")
     return build_graph(n, lines.ints(1, None, "line", "e u v",

@@ -1,11 +1,13 @@
 """Brute-force oracles, kept deliberately literal and independent of the
 library's search strategies."""
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from cfcolour import Colouring, Graph, VertexOrdering, build_graph
+from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
 from cfcolour.colouring import CRITERIA, Criterion, _first_violation
+from cfcolour.graph import MAX_VERTICES
 from cfcolour.reach import _reach
 
 
@@ -300,3 +302,142 @@ def reference_exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> t
         if found is not None:
             return c, Colouring(colours=tuple(found), palette=c)
     raise AssertionError("a colouring with n distinct colours always satisfies every variant")
+
+
+# The generators as they were before the family table: the per-family
+# validation, the if chain and the graph_id rule, kept as the reference that
+# every (family, params, seed) must still reproduce.
+RANDOM_FAMILIES = ("gnp", "planar3tree")
+
+
+def too_many_vertices(n: int) -> str:
+    return f"vertex count {n} exceeds the limit of {MAX_VERTICES}"
+
+
+def _fmt_num(x: int | float) -> str:
+    return str(int(x)) if isinstance(x, int) or x == int(x) else repr(x)
+
+
+def reference_graph_id(spec: GenSpec) -> str:
+    args = ",".join(_fmt_num(p) for p in spec.params)
+    if spec.family in RANDOM_FAMILIES:
+        args += f",seed={spec.seed}"
+    return f"{spec.family}({args})"
+
+
+def _ints(params: tuple[int | float, ...]) -> list[int]:
+    out = []
+    for p in params:
+        if isinstance(p, float) and not p.is_integer():  # inf and nan included
+            raise ValueError(f"expected integer parameter, got {p}")
+        out.append(int(p))
+    return out
+
+
+def reference_validate_params(family: str, params: tuple[int | float, ...]) -> None:
+    def need(count: int, names: str) -> None:
+        if len(params) != count:
+            raise ValueError(f"{family} takes {count} parameter(s) ({names}), got {len(params)}")
+
+    if family == "path":
+        need(1, "n")
+        (n,) = _ints(params)
+        if n < 1:
+            raise ValueError("path requires n >= 1")
+    elif family == "cycle":
+        need(1, "n")
+        (n,) = _ints(params)
+        if n < 3:
+            raise ValueError("cycle requires n >= 3")
+    elif family == "complete":
+        need(1, "n")
+        (n,) = _ints(params)
+        if n < 1:
+            raise ValueError("complete requires n >= 1")
+    elif family == "star":
+        need(1, "leaves")
+        n = _ints(params)[0] + 1
+        if n < 1:
+            raise ValueError("star requires leaves >= 0")
+    elif family == "complete_bipartite":
+        need(2, "a, b")
+        a, b = _ints(params)
+        if a < 1 or b < 1:
+            raise ValueError("complete_bipartite requires a >= 1 and b >= 1")
+        n = a + b
+    elif family == "grid":
+        need(2, "rows, cols")
+        r, c = _ints(params)
+        if r < 1 or c < 1:
+            raise ValueError("grid requires rows >= 1 and cols >= 1")
+        n = r * c
+    elif family == "gnp":
+        need(2, "n, p")
+        if isinstance(params[0], float) and not params[0].is_integer():
+            raise ValueError("gnp requires integer n")
+        n = int(params[0])
+        if n < 0:
+            raise ValueError("gnp requires n >= 0")
+        p = float(params[1])
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"gnp requires 0 <= p <= 1, got {p}")
+    else:  # planar3tree
+        need(1, "n")
+        (n,) = _ints(params)
+        if n < 3:
+            raise ValueError("planar3tree requires n >= 3")
+    if n > MAX_VERTICES:
+        raise ValueError(too_many_vertices(n))
+
+
+def reference_generate(spec: GenSpec) -> Graph:
+    """The generators before the family table, verbatim."""
+    f = spec.family
+    if f == "path":
+        (n,) = _ints(spec.params)
+        return build_graph(n, [(i, i + 1) for i in range(1, n)])
+    if f == "cycle":
+        (n,) = _ints(spec.params)
+        return build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+    if f == "complete":
+        (n,) = _ints(spec.params)
+        return build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    if f == "star":
+        (leaves,) = _ints(spec.params)
+        return build_graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+    if f == "complete_bipartite":
+        a, b = _ints(spec.params)
+        return build_graph(a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)])
+    if f == "grid":
+        r, c = _ints(spec.params)
+        edges = []
+        for i in range(r):
+            for j in range(c):
+                v = i * c + j + 1  # row-major numbering
+                if j + 1 < c:
+                    edges.append((v, v + 1))
+                if i + 1 < r:
+                    edges.append((v, v + c))
+        return build_graph(r * c, edges)
+    if f == "gnp":
+        n = int(spec.params[0])
+        p = float(spec.params[1])
+        rng = random.Random(spec.seed)
+        edges = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if rng.random() < p
+        ]
+        return build_graph(n, edges)
+    if f == "planar3tree":
+        (n,) = _ints(spec.params)
+        rng = random.Random(spec.seed)
+        edges = [(1, 2), (2, 3), (1, 3)]
+        faces = [(1, 2, 3)]
+        for v in range(4, n + 1):
+            a, b, c = faces.pop(rng.randrange(len(faces)))
+            edges += [(a, v), (b, v), (c, v)]
+            faces += [(a, b, v), (a, c, v), (b, c, v)]
+        return build_graph(n, edges)
+    raise AssertionError(f"unhandled family {f!r}")

@@ -63,6 +63,20 @@ def test_too_many_vertices_exit_2(tmp_path, capsys):
         )
 
 
+def test_too_many_edges_exit_2(tmp_path, capsys):
+    assert main(["gen", "--family", "complete", "--params", "3163"]) == 2
+    assert capsys.readouterr().err == "error: edge count 5000703 exceeds the limit of 5000000\n"
+    assert main(["gen", "--family", "gnp", "--params", "10000,0.0001"]) == 2
+    assert capsys.readouterr().err == "error: vertex pair count 49995000 exceeds the limit of 5000000\n"
+    for fmt, text in (("edgelist", "10 10000000000\n"), ("dimacs", "p edge 10 10000000000\n")):
+        path = tmp_path / f"dense.{fmt}"
+        path.write_text(text)
+        assert main(["scol", "--graph", str(path), "--format", fmt, "--s", "2", "--strategy", "identity"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {fmt}: edge count 10000000000 exceeds the limit of 5000000 at line 1\n"
+        )
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     def broken(args):
         raise KeyError("boom")

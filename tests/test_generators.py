@@ -1,17 +1,21 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcolour import (
+    FAMILIES,
     GenSpec,
     degeneracy_order,
     generate,
+    load_corpus,
     load_graph,
     parse_genspec,
     save_graph,
 )
-from cfcolour.generators import parse_params
+from cfcolour.generators import TABLE, parse_params
+from oracles import reference_generate, reference_graph_id, reference_validate_params
 
 
 def degrees(g):
@@ -96,6 +100,17 @@ def test_planar3tree_edge_count_and_degeneracy(n, seed):
         ("gnp", (-1, 0.5)),
         ("planar3tree", (2,)),
         ("nonsense", (3,)),
+        ("path", (2.5,)),
+        ("path", (4, 5)),
+        ("path", ()),
+        ("star", (1e999,)),
+        ("complete_bipartite", (3, 0)),
+        ("complete_bipartite", (2, 2.5)),
+        ("grid", (0, 3)),
+        ("gnp", (6, -0.1)),
+        ("gnp", (6, float("nan"))),
+        ("gnp", (2.5, 0.5)),
+        ("gnp", (6,)),
     ],
 )
 def test_invalid_specs_rejected(family, params):
@@ -121,6 +136,7 @@ def test_parse_genspec_round_trip():
         "path(1e999)",
         "grid(2,1e400)",
         "gnp(1e999,0.3)",
+        "gnp(8," + "9" * 400 + ")",
     ],
 )
 def test_parse_genspec_rejects_garbage(text):
@@ -150,6 +166,7 @@ def test_parse_genspec_rejects_too_many_vertices(text):
 def test_genspec_accepts_the_largest_vertex_count():
     assert GenSpec("grid", (1000, 1000)).params == (1000, 1000)
     assert GenSpec("star", (999999,)).params == (999999,)
+    assert GenSpec("planar3tree", (10**6,), seed=1).params == (10**6,)
 
 
 def test_parse_params():
@@ -158,24 +175,28 @@ def test_parse_params():
     assert parse_params("8,0.3,1e2") == (8, 0.3, 100.0)
 
 
+# One parameter strategy per family; test_genspecs_draw_every_family fails when
+# FAMILIES gains an entry without one, so no family goes unfuzzed.
+FUZZ_PARAMS = {
+    "path": st.tuples(st.integers(1, 12)),
+    "cycle": st.tuples(st.integers(3, 12)),
+    "complete": st.tuples(st.integers(1, 12)),
+    "star": st.tuples(st.integers(0, 10)),
+    "complete_bipartite": st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    "grid": st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    "gnp": st.tuples(st.integers(0, 10), st.floats(0.0, 1.0)),
+    "planar3tree": st.tuples(st.integers(3, 20)),
+}
+
+
+def test_genspecs_draw_every_family():
+    assert sorted(FUZZ_PARAMS) == sorted(FAMILIES)
+
+
 @st.composite
 def genspecs(draw):
-    family = draw(st.sampled_from(
-        ["path", "cycle", "complete", "star", "complete_bipartite", "grid", "gnp", "planar3tree"]
-    ))
-    if family == "path" or family == "complete":
-        params = (draw(st.integers(1, 12)),)
-    elif family == "cycle":
-        params = (draw(st.integers(3, 12)),)
-    elif family == "star":
-        params = (draw(st.integers(0, 10)),)
-    elif family in ("complete_bipartite", "grid"):
-        params = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    elif family == "gnp":
-        params = (draw(st.integers(0, 10)), draw(st.floats(0.0, 1.0)))
-    else:
-        params = (draw(st.integers(3, 20)),)
-    return GenSpec(family, params, seed=draw(st.integers(0, 2**64 - 1)))
+    family = draw(st.sampled_from(FAMILIES))
+    return GenSpec(family, draw(FUZZ_PARAMS[family]), seed=draw(st.integers(0, 2**64 - 1)))
 
 
 @settings(max_examples=60)
@@ -194,3 +215,73 @@ def test_generated_graphs_are_valid_and_round_trip(spec, fmt):
 @given(genspecs())
 def test_generation_is_deterministic(spec):
     assert generate(spec) == generate(spec)
+
+
+# A small parameter grid for every family, ints and floats mixed as a spec may give them.
+SMALL_PARAMS = {
+    "path": [(n,) for n in (1, 2, 5, 9.0)],
+    "cycle": [(n,) for n in (3, 4, 7)],
+    "complete": [(n,) for n in (1, 2, 6)],
+    "star": [(k,) for k in (0, 1, 6.0)],
+    "complete_bipartite": [(a, b) for a in (1, 3) for b in (1, 2, 4)],
+    "grid": [(r, c) for r in (1, 2, 4) for c in (1, 3, 5.0)],
+    "gnp": [(n, p) for n in (0, 1, 2, 9) for p in (0.0, 0.3, 0.5, 1, 1.0)],
+    "planar3tree": [(n,) for n in (3, 4, 9, 30)],
+}
+SMALL_SPECS = [(f, params) for f in FAMILIES for params in SMALL_PARAMS[f]]
+
+
+def assert_same_as_reference(spec):
+    reference_validate_params(spec.family, spec.params)
+    assert generate(spec) == reference_generate(spec)
+    assert spec.graph_id == reference_graph_id(spec)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13])
+def test_generators_match_the_reference_on_small_specs(seed):
+    for family, params in SMALL_SPECS:
+        assert_same_as_reference(GenSpec(family, params, seed))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec("grid", (50, 60)), GenSpec("planar3tree", (3000,), seed=1), GenSpec("gnp", (3000, 0.001), seed=1)],
+    ids=str,
+)
+def test_generators_match_the_reference_on_the_perf_corpus(spec):
+    assert_same_as_reference(spec)
+
+
+def test_generators_match_the_reference_on_the_demo_corpus():
+    root = Path(__file__).resolve().parents[1]
+    specs = load_corpus((root / "corpus" / "demo.txt").read_text(encoding="utf-8"))
+    for spec in specs:
+        assert_same_as_reference(spec)
+
+
+@pytest.mark.parametrize("family, params", SMALL_SPECS)
+def test_table_sizes_are_true(family, params):
+    g = generate(GenSpec(family, params, seed=5))
+    n, m = TABLE[family].size(*params)
+    assert n == g.n
+    if family == "gnp":  # m counts the vertex pairs drawn
+        assert g.m == m if params[1] == 1 else g.m <= m
+    else:
+        assert g.m == m
+
+
+@pytest.mark.parametrize(
+    "accepted, rejected, counts, m",
+    [
+        ("complete(3162)", "complete(3163)", "edge", 5000703),
+        ("complete_bipartite(2000,2500)", "complete_bipartite(2000,2501)", "edge", 5002000),
+        ("gnp(3162,0.001)", "gnp(3163,0.001)", "vertex pair", 5000703),
+        ("gnp(3000,0.001)", "gnp(10000,0.0001)", "vertex pair", 49995000),
+        ("gnp(1000,0.5)", "gnp(1000000,0.000001)", "vertex pair", 499999500000),
+    ],
+)
+def test_genspec_edge_bound(accepted, rejected, counts, m):
+    parse_genspec(accepted)
+    message = f"malformed generator spec {rejected!r}: {counts} count {m} exceeds the limit of 5000000"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_genspec(rejected)

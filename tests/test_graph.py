@@ -107,15 +107,31 @@ def test_load_dimacs_errors(text, fragment):
 )
 def test_vertex_count_limit_rejects_before_allocating(fmt, text):
     line = text.count("\n")
+    message, peak = load_error_and_peak(text, fmt)
+    assert message == f"{fmt}: vertex count 10000000000 exceeds the limit of 1000000 at line {line}"
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("edgelist", "10 10000000000\n"), ("dimacs", "p edge 10 10000000000\n"), ("edgelist", "# big\n3163 5000001\n")],
+)
+def test_edge_count_limit_rejects_before_allocating(fmt, text):
+    line, m = text.count("\n"), text.split()[-1]
+    message, peak = load_error_and_peak(text, fmt)
+    assert message == f"{fmt}: edge count {m} exceeds the limit of 5000000 at line {line}"
+    assert peak < 1 << 16
+
+
+def load_error_and_peak(text, fmt):
+    """The message of the ValueError that loading raises, and the peak traced allocation."""
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
             load_graph(text, fmt)
-        peak = tracemalloc.get_traced_memory()[1]
+        return str(err.value), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value) == f"{fmt}: vertex count 10000000000 exceeds the limit of 1000000 at line {line}"
-    assert peak < 1 << 16
 
 
 def test_build_graph_rejects_too_many_vertices():
