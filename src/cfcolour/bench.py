@@ -5,19 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .colouring import exact_chromatic, greedy_cf_colouring, verify_colouring
+from .colouring import _violations, exact_chromatic, greedy_cf_colouring
 from .generators import GenSpec, generate, parse_genspec
 from .graph import DataLines, Graph, load_graph
 from .reach import make_ordering
-
-CSV_HEADER = (
-    "graph_id,family,n,m,strategy,r2,colours_used,bound_thm1,"
-    "proper_ok,odd_ok,cf_ok,exact_cf,runtime_ms"
-)
 
 BOUND_KINDS = ("scol2", "kplanar", "minor")
 
@@ -59,21 +54,19 @@ class BenchRecord:
     runtime_ms: float
 
     def csv_row(self) -> list[str]:
-        return [
-            self.graph_id,
-            self.family,
-            str(self.n),
-            str(self.m),
-            self.strategy,
-            str(self.r2),
-            str(self.colours_used),
-            str(self.bound_thm1),
-            str(self.proper_ok).lower(),
-            str(self.odd_ok).lower(),
-            str(self.cf_ok).lower(),
-            "" if self.exact_cf is None else str(self.exact_cf),
-            f"{self.runtime_ms:.3f}",
-        ]
+        return [_cell(getattr(self, f.name)) for f in fields(self)]
+
+
+def _cell(value: object) -> str:
+    # Booleans as true/false, None as empty, floats (runtime_ms) to 3 places.
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return "" if value is None else str(value)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def _resolve(item: GenSpec | str | Path) -> tuple[str, str, Graph]:
@@ -112,7 +105,7 @@ def run_corpus(
             ordering = make_ordering(g, strategy)
             col = greedy_cf_colouring(g, ordering)
             r2 = (col.palette + 1) // 2  # the palette is max(1, 2 * r2 - 1)
-            verdicts = {c: verify_colouring(g, col, c) for c in ("proper", "odd", "conflict_free")}
+            first = _violations(g, col.colours)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             records.append(
                 BenchRecord(
@@ -124,9 +117,9 @@ def run_corpus(
                     r2=r2,
                     colours_used=col.used,
                     bound_thm1=bound("scol2", r2) if r2 >= 1 else 1,
-                    proper_ok=verdicts["proper"].ok,
-                    odd_ok=verdicts["odd"].ok,
-                    cf_ok=verdicts["conflict_free"].ok,
+                    proper_ok=first["proper"] is None,
+                    odd_ok=first["odd"] is None,
+                    cf_ok=first["conflict_free"] is None,
                     exact_cf=exact_cf,
                     runtime_ms=elapsed_ms,
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Literal, Sequence
+from typing import IO, Collection, Literal, Sequence
 
 from .graph import DataLines, Graph, int_pairs
 from .reach import VertexOrdering, _reach
@@ -27,6 +27,8 @@ class Colouring:
     palette: int
 
     def __post_init__(self) -> None:
+        if self.palette < 0:
+            raise ValueError(f"palette must be >= 0, got {self.palette}")
         for i, c in enumerate(self.colours):
             if not 1 <= c <= self.palette:
                 raise ValueError(f"vertex {i + 1} has colour {c} outside 1..{self.palette}")
@@ -77,43 +79,49 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     for v in ordering.seq:
         reach = _reach(adj, pos, v, 2)
         r = max(r, len(reach))
-        blocked = {colour_of[w] for w in reach if w != v}
+        # colour_of[v] is still 0, which blocks no choice.
+        blocked = {colour_of[w] for w in reach}
         pv = pos[v]
         for u in adj[v]:
             if pos[u] < pv:
-                pi = leftmost[u]
-                if pi != v:
-                    blocked.add(colour_of[pi])
+                blocked.add(colour_of[leftmost[u]])
         choice = 1
         while choice in blocked:
             choice += 1
         colour_of[v] = choice
 
     palette = max(1, 2 * r - 1)
-    for v in ordering.seq:
-        if colour_of[v] > palette:
-            raise RuntimeError(
-                f"palette of {palette} colours exhausted at vertex {v}; "
-                "this indicates a bug in the colouring routine"
-            )
+    if max(colour_of) > palette:
+        v = colour_of.index(max(colour_of))
+        raise RuntimeError(f"palette of {palette} colours exhausted at vertex {v}; this indicates a bug")
     return Colouring(colours=tuple(colour_of[1:]), palette=palette)
 
 
-def _holds(colours: Iterable[int], odd: bool) -> bool:
-    # The odd or conflict-free condition on the colours of one neighbourhood.
-    counts = Counter(colours).values()
-    return any(k % 2 == 1 for k in counts) if odd else 1 in counts
+def _holds(counts: Collection[int], odd: bool) -> bool:
+    # Odd or conflict-free on one neighbourhood's colour counts; a count of 1 settles both.
+    return 1 in counts or odd and any(k % 2 == 1 for k in counts)
 
 
-def _first_violation(g: Graph, colours: Sequence[int], criterion: Criterion) -> int | None:
-    # First vertex whose non-empty neighbourhood fails the odd or conflict-free
-    # condition; colours[w - 1] is the colour of vertex w.
-    odd = criterion == "odd"
-    for v in g.vertices:
-        nbrs = g.adjacency[v]
-        if nbrs and not _holds((colours[w - 1] for w in nbrs), odd):
-            return v
-    return None
+def _violations(g: Graph, colours: Sequence[int]) -> dict[Criterion, int | None]:
+    # The first violating vertex of each criterion (None where it holds), from
+    # one pass that counts each neighbourhood's colours once; v violates proper
+    # when colours[v - 1] is among them.  Stops once all three have one.
+    proper = odd = cf = None
+    for v, nbrs in enumerate(g.adjacency):
+        if nbrs:
+            counts: dict[int, int] = {}
+            for w in nbrs:
+                c = colours[w - 1]
+                counts[c] = counts.get(c, 0) + 1
+            if proper is None and colours[v - 1] in counts:
+                proper = v
+            if odd is None and not _holds(counts.values(), True):
+                odd = v
+            if cf is None and not _holds(counts.values(), False):
+                cf = v
+            if proper and odd and cf:
+                break
+    return {"proper": proper, "odd": odd, "conflict_free": cf}
 
 
 def verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -> Verdict:
@@ -124,31 +132,27 @@ def verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -> Verdict:
     """
     if col.n != g.n:
         raise ValueError(f"colouring covers {col.n} vertices, graph has {g.n}")
-    if criterion == "proper":
-        for u, v in g.edges():
-            if col.of(u) == col.of(v):
-                return Verdict(
-                    ok=False,
-                    witness=u,
-                    detail=f"edge ({u},{v}) is monochromatic in colour {col.of(u)}",
-                )
-        return Verdict(ok=True, witness=None, detail="no monochromatic edge")
-    if criterion not in ("odd", "conflict_free"):
+    if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
-    v = _first_violation(g, col.colours, criterion)
+    v = _violations(g, col.colours)[criterion]
     if v is None:
-        return Verdict(ok=True, witness=None, detail=f"{criterion} holds at every vertex")
-    if criterion == "odd":
+        detail = "no monochromatic edge" if criterion == "proper" else f"{criterion} holds at every vertex"
+    elif criterion == "proper":
+        # v is the smaller end of the first monochromatic edge (v, w).
+        c = col.colours[v - 1]
+        w = next(w for w in g.adjacency[v] if col.colours[w - 1] == c)
+        detail = f"edge ({v},{w}) is monochromatic in colour {c}"
+    elif criterion == "odd":
         detail = f"every colour in the neighbourhood of {v} appears an even number of times"
     else:
         detail = f"no colour appears exactly once in the neighbourhood of {v}"
-    return Verdict(ok=False, witness=v, detail=detail)
+    return Verdict(ok=v is None, witness=v, detail=detail)
 
 
 def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, Colouring]:
     """Smallest palette admitting a proper colouring that satisfies ``variant``.
 
-    For c = 1, 2, ... a depth-first search colours the vertices in id order
+    For c = 0, 1, 2, ... a depth-first search colours the vertices in id order
     with colours 1..c; a vertex may introduce at most one new colour beyond
     those already used, which kills colour-permutation symmetry.  A colour is
     rejected as soon as it makes an edge monochromatic, or completes the
@@ -162,8 +166,6 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
             f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
         )
     n, adj = g.n, g.adjacency
-    if n == 0:
-        return 0, Colouring(colours=(), palette=0)
     earlier = [[w for w in a if w < v] for v, a in enumerate(adj)]
     # closes[v]: the vertices whose neighbourhood is fully coloured once v is.
     closes: list[list[int]] = [[] for _ in adj]
@@ -172,7 +174,7 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
             if adj[w]:
                 closes[adj[w][-1]].append(w)
     odd = variant == "odd"
-    for c in range(1, n + 1):
+    for c in range(n + 1):
         # colours[v] is v's current colour (0 while unset); used[v] is the
         # largest colour among vertices 1..v-1.
         colours = [0] * (n + 1)
@@ -184,7 +186,7 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
             while colour <= top:
                 colours[v] = colour
                 if all(colours[w] != colour for w in earlier[v]) and all(
-                    _holds((colours[u] for u in adj[w]), odd) for w in closes[v]
+                    _holds(Counter(colours[u] for u in adj[w]).values(), odd) for w in closes[v]
                 ):
                     break
                 colour += 1
@@ -207,19 +209,17 @@ def load_colouring(source: str | bytes | IO) -> Colouring:
     n, c = lines.ints(0, 1, "header", "n c", int_pairs)[0]
     if len(lines.rows) - 1 != n:
         raise ValueError(f"colouring file: header declares {n} vertices, body has {len(lines.rows) - 1} lines")
-    colours = [0] * n
-    seen = set()
+    colours: list[int | None] = [None] * n
     for v, colour in lines.ints(1, None, "line", "v colour", int_pairs):
         if not 1 <= v <= n:
             raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
-        if v in seen:
+        if colours[v - 1] is not None:
             raise ValueError(f"colouring file: vertex {v} listed twice")
-        seen.add(v)
         colours[v - 1] = colour
     return Colouring(colours=tuple(colours), palette=c)
 
 
 def save_colouring(col: Colouring) -> str:
     lines = [f"{col.n} {col.palette}"]
-    lines += [f"{v} {col.of(v)}" for v in range(1, col.n + 1)]
+    lines += [f"{v} {c}" for v, c in enumerate(col.colours, start=1)]
     return "\n".join(lines) + "\n"

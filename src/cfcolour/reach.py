@@ -82,13 +82,15 @@ class ReachProfile:
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
     # The one reach BFS behind reach_set; w lies after v exactly when
-    # pos[w] > pos[v].  Each vertex after v is expanded at most once, and the
-    # last hop only collects.
+    # pos[w] > pos[v].  Each vertex after v is expanded at most once, the last
+    # hop only collects, and the search ends early once the frontier is empty.
     pv = pos[v]
     collected = {v}
     frontier = [v]
     expanded = set()
     for _ in range(radius - 1):
+        if not frontier:
+            break
         nxt = []
         for u in frontier:
             for w in adjacency[u]:

@@ -2,11 +2,13 @@
 library's search strategies."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import Iterable, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
-from cfcolour.colouring import CRITERIA, Criterion, _first_violation
+from cfcolour.colouring import CRITERIA, Criterion, Verdict
 from cfcolour.graph import MAX_VERTICES
 from cfcolour.reach import _reach
 
@@ -261,6 +263,54 @@ def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, V
                 break
     best.cache_clear()
     return value, VertexOrdering(tuple(reversed(placed_rtl)))
+
+
+# The validators as they were before the single pass: an edge loop for
+# proper, and one Counter per neighbourhood and criterion for the others.
+def _holds(colours: Iterable[int], odd: bool) -> bool:
+    # The odd or conflict-free condition on the colours of one neighbourhood.
+    counts = Counter(colours).values()
+    return any(k % 2 == 1 for k in counts) if odd else 1 in counts
+
+
+def _first_violation(g: Graph, colours: Sequence[int], criterion: Criterion) -> int | None:
+    # First vertex whose non-empty neighbourhood fails the odd or conflict-free
+    # condition; colours[w - 1] is the colour of vertex w.
+    odd = criterion == "odd"
+    for v in g.vertices:
+        nbrs = g.adjacency[v]
+        if nbrs and not _holds((colours[w - 1] for w in nbrs), odd):
+            return v
+    return None
+
+
+def reference_verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -> Verdict:
+    """Check one criterion; on failure the witness is a violating vertex.
+
+    Vertices without neighbours are exempt from the odd and conflict_free
+    checks, which only constrain non-empty neighbourhoods.
+    """
+    if col.n != g.n:
+        raise ValueError(f"colouring covers {col.n} vertices, graph has {g.n}")
+    if criterion == "proper":
+        for u, v in g.edges():
+            if col.of(u) == col.of(v):
+                return Verdict(
+                    ok=False,
+                    witness=u,
+                    detail=f"edge ({u},{v}) is monochromatic in colour {col.of(u)}",
+                )
+        return Verdict(ok=True, witness=None, detail="no monochromatic edge")
+    if criterion not in ("odd", "conflict_free"):
+        raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+    v = _first_violation(g, col.colours, criterion)
+    if v is None:
+        return Verdict(ok=True, witness=None, detail=f"{criterion} holds at every vertex")
+    if criterion == "odd":
+        detail = f"every colour in the neighbourhood of {v} appears an even number of times"
+    else:
+        detail = f"no colour appears exactly once in the neighbourhood of {v}"
+    return Verdict(ok=False, witness=v, detail=detail)
 
 
 def reference_exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, Colouring]:

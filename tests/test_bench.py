@@ -1,8 +1,10 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from cfcolour import (
+    Colouring,
     GenSpec,
     bound,
     generate,
@@ -11,7 +13,9 @@ from cfcolour import (
     run_corpus,
     save_graph,
 )
-from cfcolour.bench import CSV_HEADER
+from cfcolour import bench
+from cfcolour.bench import CSV_HEADER, BenchRecord
+from oracles import reference_verify_colouring
 
 
 def test_bound_values():
@@ -101,6 +105,39 @@ def test_csv_header_and_shape():
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     assert lines[1].startswith("path(4),path,4,3,identity,2,3,3,true,true,true,,")
+
+
+def test_csv_header_and_cells_come_from_the_record_fields():
+    assert CSV_HEADER == (
+        "graph_id,family,n,m,strategy,r2,colours_used,bound_thm1,"
+        "proper_ok,odd_ok,cf_ok,exact_cf,runtime_ms"
+    )
+    rec = BenchRecord("path(4)", "path", 4, 3, "identity", 2, 3, 3, True, False, True, None, 1.23456)
+    assert rec.csv_row() == ["path(4)", "path", "4", "3", "identity", "2", "3", "3",
+                             "true", "false", "true", "", "1.235"]
+    assert records_to_csv([rec]).splitlines()[1].endswith(",true,false,true,,1.235")
+    assert replace(rec, exact_cf=7, runtime_ms=0.0).csv_row()[-2:] == ["7", "0.000"]
+
+
+@pytest.mark.parametrize(
+    "spec, colours, want",
+    [
+        # Alternating C4: proper, but neither odd nor conflict-free.
+        (GenSpec("cycle", (4,)), (1, 2, 1, 2), [True, False, False]),
+        # Monochromatic K_{1,3}: the centre sees one colour three times.
+        (GenSpec("star", (3,)), (2, 2, 2, 2), [False, True, False]),
+    ],
+    ids=["c4", "star3"],
+)
+def test_run_corpus_flags_match_the_validators(monkeypatch, spec, colours, want):
+    # The flags come from one pass; with a failing colouring each must agree
+    # with the reference validator of its own criterion.
+    bad = Colouring(colours, 2)
+    monkeypatch.setattr(bench, "greedy_cf_colouring", lambda graph, ordering: bad)
+    (rec,) = run_corpus([spec], ["identity"])
+    g = generate(spec)
+    flags = [reference_verify_colouring(g, bad, c).ok for c in ("proper", "odd", "conflict_free")]
+    assert [rec.proper_ok, rec.odd_ok, rec.cf_ok] == flags == want
 
 
 def test_csv_deterministic_modulo_runtime():

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -92,6 +93,20 @@ def test_scol_strategy(tmp_path, capsys):
     assert capsys.readouterr().out == "3\n"
 
 
+def test_scol_huge_radius(tmp_path, capsys):
+    # Radius 10^6 comes first and is timed, so code that runs every level
+    # even on an empty frontier fails here instead of running for minutes.
+    graph = write_graph(tmp_path, "grid.el", GenSpec("grid", (4, 5)))
+    assert main(["scol", "--graph", graph, "--s", "20", "--strategy", "random(3)"]) == 0
+    want = capsys.readouterr().out
+    assert want == "8\n"  # 6 at radius 2: long detours add to the reach sets
+    for s in ("1000000", "1000000000"):
+        start = time.perf_counter()
+        assert main(["scol", "--graph", graph, "--s", s, "--strategy", "random(3)"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == want
+
+
 def test_scol_verbose_lists_sizes(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.el", GenSpec("cycle", (5,)))
     main(["scol", "--graph", graph, "--s", "2", "--strategy", "identity", "--verbose"])
@@ -154,6 +169,16 @@ def test_verify_failure_prints_witness(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out.startswith("fail witness=1")
+
+
+def test_verify_negative_palette_exit_2(tmp_path, capsys):
+    graph = tmp_path / "empty.el"
+    graph.write_text("0 0\n")
+    bad = tmp_path / "neg.colouring"
+    bad.write_text("0 -5\n")
+    code = main(["verify", "--graph", str(graph), "--colouring", str(bad), "--criterion", "proper"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: palette must be >= 0, got -5\n"
 
 
 def test_input_errors_name_file_and_line(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""The single reach kernel, the heap orderers and the pruning exact oracles
-against the earlier reach, orderer, greedy and exact-search code."""
+"""The single reach kernel, the heap orderers, the pruning exact oracles and
+the one-pass validator against the earlier reach, orderer, greedy,
+exact-search and validator code."""
 
 import random
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcolour import (
+    Colouring,
     GenSpec,
     VertexOrdering,
     back_reach_profile,
@@ -20,6 +22,7 @@ from cfcolour import (
     min_backreach_order,
     verify_colouring,
 )
+from cfcolour.colouring import CRITERIA, _violations
 from oracles import (
     reference_degeneracy_order,
     reference_exact_chromatic,
@@ -27,6 +30,7 @@ from oracles import (
     reference_greedy_cf_colouring,
     reference_min_backreach_order,
     reference_profile_sizes,
+    reference_verify_colouring,
 )
 
 
@@ -126,3 +130,57 @@ def test_exact_scol_search_beats_the_heuristic(spec, radius):
     assert degeneracy_order(g)[1] + 1 < value < back_reach_profile(g, min_backreach_order(g), radius).max
     assert value == reference_exact_scol(g, radius, limit=10)[0]
     assert back_reach_profile(g, ordering, radius).max == value
+
+
+@st.composite
+def graph_and_colouring(draw, max_n=12):
+    # Random colourings with 1-4 colours fail most checks; half the draws
+    # take the greedy colouring of a random ordering instead, which passes.
+    g, ordering = draw(graph_and_order(max_n))
+    if draw(st.booleans()):
+        return g, greedy_cf_colouring(g, ordering)
+    palette = draw(st.integers(1, 4))
+    colours = draw(st.lists(st.integers(1, palette), min_size=g.n, max_size=g.n))
+    return g, Colouring(tuple(colours), palette)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_colouring())
+def test_one_pass_validator_matches_reference_code(t):
+    g, col = t
+    for criterion in CRITERIA:
+        assert verify_colouring(g, col, criterion) == reference_verify_colouring(g, col, criterion)
+
+
+class RecordingColours(tuple):
+    """A colour tuple that records which indices were read."""
+
+    def __new__(cls, colours):
+        self = super().__new__(cls, colours)
+        self.read = set()
+        return self
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def test_each_criterion_fails_at_its_own_vertex_and_the_pass_stops():
+    # conflict_free fails first, at 1 (colour 2 three times, odd); odd at 2
+    # (colour 3 twice); proper at 3, whose edge (3, 9) is monochromatic.
+    # Vertices 10-12 fail all three again, but the pass has stopped by then.
+    edges = [(1, 4), (1, 5), (1, 6), (2, 7), (2, 8), (3, 9), (10, 11), (10, 12)]
+    g = build_graph(12, edges)
+    col = Colouring((1, 1, 4, 2, 2, 2, 3, 3, 4, 1, 1, 1), 4)
+    want = {
+        "proper": (3, "edge (3,9) is monochromatic in colour 4"),
+        "odd": (2, "every colour in the neighbourhood of 2 appears an even number of times"),
+        "conflict_free": (1, "no colour appears exactly once in the neighbourhood of 1"),
+    }
+    for criterion, (witness, detail) in want.items():
+        verdict = verify_colouring(g, col, criterion)
+        assert verdict == reference_verify_colouring(g, col, criterion)
+        assert (verdict.ok, verdict.witness, verdict.detail) == (False, witness, detail)
+    colours = RecordingColours(col.colours)
+    assert _violations(g, colours) == {"proper": 3, "odd": 2, "conflict_free": 1}
+    assert max(colours.read) == 9 - 1  # the colour of vertex 9, read at vertex 3

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -139,6 +140,19 @@ def test_profile_edgeless():
         prof = back_reach_profile(g, VertexOrdering((3, 1, 4, 2)), s)
         assert set(prof.sizes.values()) == {1}
         assert prof.max == 1
+
+
+@pytest.mark.parametrize("g", [path(10), cycle(7)], ids=["path10", "cycle7"])
+def test_profile_huge_radius_stops_on_empty_frontier(g):
+    # Past radius n every frontier is empty; the search must stop there
+    # rather than run 10^9 empty levels per vertex.  10^6 comes first, so
+    # code without the stop fails on time instead of running for minutes.
+    for s in (10**6, 10**9):
+        start = time.perf_counter()
+        for o in (VertexOrdering.identity(g.n), VertexOrdering.reverse(g.n)):
+            huge, at_n = back_reach_profile(g, o, s), back_reach_profile(g, o, g.n)
+            assert (huge.sizes, huge.max, huge.argmax) == (at_n.sizes, at_n.max, at_n.argmax)
+        assert time.perf_counter() - start < 1.0
 
 
 # --- degeneracy_order -------------------------------------------------------
