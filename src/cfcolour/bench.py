@@ -104,7 +104,7 @@ def run_corpus(
             start = time.perf_counter()
             ordering = make_ordering(g, strategy)
             col = greedy_cf_colouring(g, ordering)
-            r2 = (col.palette + 1) // 2  # the palette is max(1, 2 * r2 - 1)
+            r2 = (col.palette + 1) // 2  # the palette is 2 * r2 - 1, or 0 with r2 = 0 for n = 0
             first = _violations(g, col.colours)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             records.append(

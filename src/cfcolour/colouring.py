@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import IO, Collection, Literal, Sequence
 
 from .graph import DataLines, Graph, int_pairs
-from .reach import VertexOrdering, _reach
+from .reach import VertexOrdering, _check_args, _check_limit, _reach
 
 Criterion = Literal["proper", "odd", "conflict_free"]
 CRITERIA = ("proper", "odd", "conflict_free")
@@ -65,8 +65,7 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     like everyone else.  The palette comes from the same pass: each reach
     set is computed once, both to block colours and to track r.
     """
-    if g.n != ordering.n:
-        raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
+    _check_args(g, ordering, 2)
     if g.n == 0:
         return Colouring(colours=(), palette=0)
     adj, pos = g.adjacency, ordering.pos
@@ -90,7 +89,7 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
             choice += 1
         colour_of[v] = choice
 
-    palette = max(1, 2 * r - 1)
+    palette = 2 * r - 1  # n >= 1 and v is in its own reach set, so r >= 1
     if max(colour_of) > palette:
         v = colour_of.index(max(colour_of))
         raise RuntimeError(f"palette of {palette} colours exhausted at vertex {v}; this indicates a bug")
@@ -161,10 +160,7 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
     """
     if variant not in CRITERIA:
         raise ValueError(f"unknown variant {variant!r}, expected one of {CRITERIA}")
-    if g.n > limit:
-        raise ValueError(
-            f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
-        )
+    _check_limit(g, limit)
     n, adj = g.n, g.adjacency
     earlier = [[w for w in a if w < v] for v, a in enumerate(adj)]
     # closes[v]: the vertices whose neighbourhood is fully coloured once v is.

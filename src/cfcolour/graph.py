@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
 
-FORMATS = ("edgelist", "dimacs")
+# Per format, the prefix of the "n m" header line and the tag of each edge row.
+_TEXT_TAGS = {"edgelist": ("", ""), "dimacs": ("p edge ", "e ")}
+FORMATS = tuple(_TEXT_TAGS)
 
 # The largest vertex and edge counts a graph may declare.  They are checked
 # before anything is allocated, so a short header or spec cannot ask for
@@ -57,14 +59,15 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list.
 
-    Rejects out-of-range endpoints, self-loops, and duplicate edges
-    (after normalising (u,v)/(v,u)); the error names the offending pair.
+    Rejects out-of-range endpoints and self-loops, naming the first such edge
+    in the list, and then duplicate edges ((u,v) and (v,u) are one edge),
+    naming the smallest duplicate pair: u is the first vertex whose sorted
+    adjacency repeats a neighbour, v the smallest neighbour it repeats.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if reason := size_error(n, 0):
         raise ValueError(reason)
-    seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         if not (1 <= u <= n):
@@ -73,13 +76,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u},{v}): endpoint {v} out of range 1..{n}")
         if u == v:
             raise ValueError(f"edge ({u},{v}): self-loop")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
+    for u, a in enumerate(adj):
+        a.sort()
+        if len(set(a)) < len(a):
+            v = next(v for v, w in zip(a, a[1:]) if v == w)
+            raise ValueError(f"duplicate edge {(u, v)}")
+    return Graph(n=n, adjacency=tuple(map(tuple, adj)))
 
 
 def size_error(n: int, m: int, counts: str = "edge") -> str | None:
@@ -190,11 +194,7 @@ def load_graph(source: str | bytes | IO, fmt: str = "edgelist") -> Graph:
 
 def save_graph(g: Graph, fmt: str = "edgelist") -> str:
     """Serialise a graph; edges are emitted with u < v in lexicographic order."""
-    pairs = list(g.edges())
-    if fmt == "edgelist":
-        lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in pairs]
-    elif fmt == "dimacs":
-        lines = [f"p edge {g.n} {g.m}"] + [f"e {u} {v}" for u, v in pairs]
-    else:
+    if fmt not in _TEXT_TAGS:
         raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
-    return "\n".join(lines) + "\n"
+    header, tag = _TEXT_TAGS[fmt]
+    return f"{header}{g.n} {g.m}\n" + "".join([f"{tag}{u} {v}\n" for u, v in g.edges()])

@@ -114,6 +114,11 @@ def _check_args(g: Graph, ordering: VertexOrdering, radius: int) -> None:
         raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
 
 
+def _check_limit(g: Graph, limit: int) -> None:
+    if g.n > limit:
+        raise ValueError(f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly")
+
+
 def reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
     """Reach set of v: endpoints at or before v of paths of length <= radius
     whose internal vertices all sit strictly after v.
@@ -279,10 +284,7 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    if g.n > limit:
-        raise ValueError(
-            f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly"
-        )
+    _check_limit(g, limit)
     heuristic = min_backreach_order(g)
     ub = back_reach_profile(g, heuristic, radius).max
     for k in range(degeneracy_order(g)[1] + 1, ub):

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
-from cfcolour.graph import MAX_VERTICES
+from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
 from cfcolour.reach import _reach
 
 
@@ -491,3 +491,46 @@ def reference_generate(spec: GenSpec) -> Graph:
             faces += [(a, b, v), (a, c, v), (b, c, v)]
         return build_graph(n, edges)
     raise AssertionError(f"unhandled family {f!r}")
+
+
+# Graph building and writing before the sorted-adjacency duplicate check: a
+# set of normalised pairs caught repeated edges, and the writer copied the
+# edge list and built one line list per format.  Verbatim.
+def reference_build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from an edge list.
+
+    Rejects out-of-range endpoints, self-loops, and duplicate edges
+    (after normalising (u,v)/(v,u)); the error names the offending pair.
+    """
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if reason := size_error(n, 0):
+        raise ValueError(reason)
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        if not (1 <= u <= n):
+            raise ValueError(f"edge ({u},{v}): endpoint {u} out of range 1..{n}")
+        if not (1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}): endpoint {v} out of range 1..{n}")
+        if u == v:
+            raise ValueError(f"edge ({u},{v}): self-loop")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
+
+
+def reference_save_graph(g: Graph, fmt: str = "edgelist") -> str:
+    """Serialise a graph; edges are emitted with u < v in lexicographic order."""
+    pairs = list(g.edges())
+    if fmt == "edgelist":
+        lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in pairs]
+    elif fmt == "dimacs":
+        lines = [f"p edge {g.n} {g.m}"] + [f"e {u} {v}" for u, v in pairs]
+    else:
+        raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    return "\n".join(lines) + "\n"

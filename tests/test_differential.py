@@ -1,12 +1,12 @@
-"""The single reach kernel, the heap orderers, the pruning exact oracles and
-the one-pass validator against the earlier reach, orderer, greedy,
-exact-search and validator code."""
+"""The single reach kernel, the heap orderers, the pruning exact oracles, the
+one-pass validator and the sorted-adjacency graph builder and writer against
+the earlier reach, orderer, greedy, exact-search, validator and graph I/O code."""
 
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cfcolour import (
     Colouring,
@@ -20,16 +20,19 @@ from cfcolour import (
     generate,
     greedy_cf_colouring,
     min_backreach_order,
+    save_graph,
     verify_colouring,
 )
 from cfcolour.colouring import CRITERIA, _violations
 from oracles import (
+    reference_build_graph,
     reference_degeneracy_order,
     reference_exact_chromatic,
     reference_exact_scol,
     reference_greedy_cf_colouring,
     reference_min_backreach_order,
     reference_profile_sizes,
+    reference_save_graph,
     reference_verify_colouring,
 )
 
@@ -184,3 +187,66 @@ def test_each_criterion_fails_at_its_own_vertex_and_the_pass_stops():
     colours = RecordingColours(col.colours)
     assert _violations(g, colours) == {"proper": 3, "odd": 2, "conflict_free": 1}
     assert max(colours.read) == 9 - 1  # the colour of vertex 9, read at vertex 3
+
+
+@st.composite
+def simple_edge_list(draw, max_n=12):
+    # The edges of a random simple graph, in drawn order and orientations.
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+
+
+def build_message(build, n, edges):
+    with pytest.raises(ValueError) as err:
+        build(n, edges)
+    return str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_edge_list())
+def test_builder_and_writer_match_reference_code(t):
+    n, edges = t
+    g = build_graph(n, edges)
+    assert g == reference_build_graph(n, edges)
+    for fmt in ("edgelist", "dimacs"):
+        assert save_graph(g, fmt) == reference_save_graph(g, fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_edge_list(), st.data())
+def test_builder_names_a_single_fault_as_the_reference_code_does(t, data):
+    n, edges = t
+    kinds = ["loop", "endpoint"] if n else []
+    kinds += ["repeat"] if edges else []
+    assume(kinds)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "repeat":
+        u, v = data.draw(st.sampled_from(edges))
+        fault = data.draw(st.sampled_from([(u, v), (v, u)]))
+    elif kind == "loop":
+        v = data.draw(st.integers(1, n))
+        fault = (v, v)
+    else:
+        bad, good = data.draw(st.sampled_from([0, n + 1])), data.draw(st.integers(1, n))
+        fault = data.draw(st.sampled_from([(bad, good), (good, bad)]))
+    at = data.draw(st.integers(0, len(edges)))
+    planted = edges[:at] + [fault] + edges[at:]
+    assert build_message(build_graph, n, planted) == build_message(reference_build_graph, n, planted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(-1, n + 2), st.integers(-1, n + 2))))
+))
+def test_builder_accepts_what_the_reference_code_accepts(t):
+    n, edges = t
+    try:
+        want = reference_build_graph(n, edges)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_graph(n, edges)
+    else:
+        assert build_graph(n, edges) == want

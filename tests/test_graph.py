@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from cfcolour import build_graph, load_graph, save_graph
+from cfcolour import GenSpec, build_graph, generate, load_graph, save_graph
 from cfcolour.graph import MAX_VERTICES
 
 
@@ -30,17 +30,22 @@ def test_build_edge_order_irrelevant():
 
 
 @pytest.mark.parametrize(
-    "edges, fragment",
+    "n, edges, fragment",
     [
-        ([(1, 2), (2, 1)], "duplicate edge (1, 2)"),
-        ([(1, 1)], "self-loop"),
-        ([(0, 2)], "out of range"),
-        ([(1, 4)], "endpoint 4"),
+        pytest.param(3, [(1, 2), (2, 1)], "duplicate edge (1, 2)", id="edges0-duplicate edge (1, 2)"),
+        pytest.param(3, [(1, 1)], "self-loop", id="edges1-self-loop"),
+        pytest.param(3, [(0, 2)], "out of range", id="edges2-out of range"),
+        pytest.param(3, [(1, 4)], "endpoint 4", id="edges3-endpoint 4"),
+        # Two duplicates: the smallest pair is named, not the first repeated one.
+        pytest.param(4, [(3, 4), (1, 2), (4, 3), (2, 1)], "duplicate edge (1, 2)",
+                     id="edges4-smallest duplicate edge (1, 2)"),
+        pytest.param(4, [(1, 4), (1, 2), (4, 1), (2, 1)], "duplicate edge (1, 2)",
+                     id="edges5-smallest duplicate edge (1, 2) at one vertex"),
     ],
 )
-def test_build_rejects_bad_edges(edges, fragment):
+def test_build_rejects_bad_edges(n, edges, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
-        build_graph(3, edges)
+        build_graph(n, edges)
 
 
 def test_load_edgelist_path():
@@ -132,6 +137,23 @@ def load_error_and_peak(text, fmt):
         return str(err.value), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
+    # Traced peaks over the text length, measured on Python 3.11: about 25x
+    # for the load and 8x for the save.  A set of edge pairs in build_graph,
+    # or an edge list and a line list in save_graph, pushes them past 30x and 11x.
+    g = generate(GenSpec("planar3tree", (20000,), 1))
+    text = save_graph(g)
+    peaks = []
+    for call in (lambda: load_graph(text), lambda: save_graph(g)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 30 and peaks[1] < 11, peaks
 
 
 def test_build_graph_rejects_too_many_vertices():
