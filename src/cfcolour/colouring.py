@@ -216,6 +216,4 @@ def load_colouring(source: str | bytes | IO) -> Colouring:
 
 
 def save_colouring(col: Colouring) -> str:
-    lines = [f"{col.n} {col.palette}"]
-    lines += [f"{v} {c}" for v, c in enumerate(col.colours, start=1)]
-    return "\n".join(lines) + "\n"
+    return f"{col.n} {col.palette}\n" + "".join([f"{v} {c}\n" for v, c in enumerate(col.colours, start=1)])

@@ -326,4 +326,4 @@ def load_ordering(source: str | bytes | IO) -> VertexOrdering:
 
 
 def save_ordering(ordering: VertexOrdering) -> str:
-    return "".join(f"{v}\n" for v in ordering.seq)
+    return "".join([f"{v}\n" for v in ordering.seq])

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from cfcolour import (
     parse_genspec,
     save_graph,
 )
-from cfcolour.generators import TABLE, parse_params
+from cfcolour.generators import FACE_CHUNK, TABLE, parse_params
 from oracles import reference_generate, reference_graph_id, reference_validate_params
 
 
@@ -250,6 +251,22 @@ def test_generators_match_the_reference_on_small_specs(seed):
 )
 def test_generators_match_the_reference_on_the_perf_corpus(spec):
     assert_same_as_reference(spec)
+
+
+# planar3tree keeps its faces in chunks of FACE_CHUNK insertions: these sizes
+# end in the first chunk, just before and just after the second one opens,
+# inside the fourth, and over thirty chunks.
+@pytest.mark.parametrize("n", [3, 4, 5, FACE_CHUNK + 3, FACE_CHUNK + 4, 3 * FACE_CHUNK + 5, 3 * 10**4])
+@pytest.mark.parametrize("seed", [0, 1, 13])
+def test_planar3tree_matches_the_reference_across_face_chunks(n, seed):
+    assert_same_as_reference(GenSpec("planar3tree", (n,), seed))
+
+
+def test_planar3tree_at_the_given_order_size_is_pinned():
+    # The digest of the reference code's graph, recorded once: the quadratic
+    # reference takes seconds at this size.
+    text = save_graph(generate(GenSpec("planar3tree", (10**5,), seed=1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == "14c0afae29f235a29c51a1ea1e9cb97df93a92422eb7dad4bd1e06deb0e82d2b"
 
 
 def test_generators_match_the_reference_on_the_demo_corpus():

@@ -2,6 +2,7 @@
 and conflict-free within a palette of 2r - 1, and the orderers and the exact
 oracles stay fast."""
 
+import random
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from cfcolour import (
     min_backreach_order,
     verify_colouring,
 )
+from cfcolour.generators import TABLE
 
 # The heap orderers take well under a second on both graphs together; the
 # quadratic scans they replaced needed tens of seconds.  The bound leaves
@@ -30,6 +32,10 @@ ORDERER_BOUND_S = 10.0
 # catches either on its own, which the total bound alone would not.
 EXACT_BOUND_S = 2.0
 EXACT_CALL_BOUND_S = 0.25
+
+# planar3tree's edges at n = 2*10^5 took 1.0-1.1 s on a 2-vCPU VM with the
+# chunked Fenwick tree, and 5.6-6.1 s with the quadratic list pops it replaced.
+PLANAR3TREE_BOUND_S = 3.0
 
 
 @pytest.mark.parametrize(
@@ -69,3 +75,11 @@ def test_exact_oracles_prune_during_the_search():
     assert sum(seconds.values()) < EXACT_BOUND_S, seconds
     assert max(seconds.values()) < EXACT_CALL_BOUND_S, seconds
     assert list(values.values()) == [4, 4, 4, 4, 4, 5, 4, 5]
+
+
+def test_planar3tree_generation_is_near_linear():
+    started = time.perf_counter()
+    edges = TABLE["planar3tree"].edges(200000, random.Random(1))
+    elapsed = time.perf_counter() - started
+    assert len(edges) == 3 * 200000 - 6
+    assert elapsed < PLANAR3TREE_BOUND_S, f"planar3tree(200000) edges took {elapsed:.1f}s"
