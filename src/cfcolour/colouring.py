@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Collection, Literal, Sequence
 
-from .graph import DataLines, Graph, int_pairs
+from .graph import DataLines, Graph, int_pairs, read_text, whole_ints
 from .reach import VertexOrdering, _check_args, _check_limit, _reach
 
 Criterion = Literal["proper", "odd", "conflict_free"]
@@ -29,9 +29,9 @@ class Colouring:
     def __post_init__(self) -> None:
         if self.palette < 0:
             raise ValueError(f"palette must be >= 0, got {self.palette}")
-        for i, c in enumerate(self.colours):
-            if not 1 <= c <= self.palette:
-                raise ValueError(f"vertex {i + 1} has colour {c} outside 1..{self.palette}")
+        if self.colours and not (min(self.colours) >= 1 and max(self.colours) <= self.palette):
+            i, c = next((i, c) for i, c in enumerate(self.colours) if not 1 <= c <= self.palette)
+            raise ValueError(f"vertex {i + 1} has colour {c} outside 1..{self.palette}")
 
     @property
     def n(self) -> int:
@@ -198,7 +198,19 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 
 
 def load_colouring(source: str | bytes | IO) -> Colouring:
-    """Read a colouring file: header "n c", then n lines "v colour"."""
+    """Read a colouring file: header "n c", then n lines "v colour".
+
+    A file in the shape :func:`save_colouring` writes, vertices in order, is
+    read in one pass; any other text goes through the line reader."""
+    text = read_text(source)
+    fields = whole_ints(text, 2)
+    # The count goes first, so a header far beyond the body allocates nothing.
+    if fields and fields[0] == len(fields) // 2 - 1 and fields[2::2] == list(range(1, fields[0] + 1)):
+        return Colouring(colours=tuple(fields[3::2]), palette=fields[1])
+    return _parse_colouring(text)
+
+
+def _parse_colouring(source: str | bytes | IO) -> Colouring:
     lines = DataLines("colouring file", source)
     if not lines.rows:
         raise ValueError("colouring file: missing 'n c' header line")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import islice
+from operator import lt
 from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
 
 # Per format, the prefix of the "n m" header line and the tag of each edge row.
@@ -63,12 +65,27 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     in the list, and then duplicate edges ((u,v) and (v,u) are one edge),
     naming the smallest duplicate pair: u is the first vertex whose sorted
     adjacency repeats a neighbour, v the smallest neighbour it repeats.
+
+    A list that strictly increases with 1 <= u < v <= n, as :func:`save_graph`
+    writes it and most generators make it, is checked in bulk: the appends
+    alone then leave each adjacency sorted, lower neighbours first, and free
+    of repeats, so it skips the per-edge checks, the sort and the scan.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if reason := size_error(n, 0):
         raise ValueError(reason)
+    if not isinstance(edges, list):  # a copy of 10^6 edges costs RSS and build time
+        edges = list(edges)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
+    if not edges or (
+        all(map(lt, edges, islice(edges, 1, None)))
+        and edges[0][0] >= 1 and all(u < v <= n for u, v in edges)
+    ):
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return Graph(n=n, adjacency=tuple(map(tuple, adj)))
     for u, v in edges:
         if not (1 <= u <= n):
             raise ValueError(f"edge ({u},{v}): endpoint {u} out of range 1..{n}")
@@ -109,6 +126,33 @@ def read_text(source: str | bytes | IO) -> str:
 def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
     """Rows of two integer fields, such as ``"u v"``, as int pairs."""
     return [(int(a), int(b)) for a, b in map(str.split, rows)]
+
+
+# Deleting every digit from a text in the shape the package writes leaves
+# cols - 1 spaces and a newline per line; the spaces and newlines then become
+# the commas of one JSON array.
+_DIGITS = b"0123456789"
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
+
+def whole_ints(text: str, cols: int) -> list[int] | None:
+    """The fields of ``text``, read in one pass, if it has the exact shape the
+    package writes: ASCII, ending in a newline, and every line ``cols`` runs of
+    digits joined by single spaces.  None for any other text, which the caller
+    then reads with :class:`DataLines`, so every syntax error comes from it."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    data = text.encode()
+    rows = data.count(b"\n")
+    if data.translate(None, _DIGITS) != (b" " * (cols - 1) + b"\n") * rows:
+        return None
+    try:
+        # JSON rejects a leading zero, which int() reads, and an empty field
+        # between commas; the count rejects a text of one empty line.
+        fields = json.loads(b"[" + data[:-1].translate(_COMMAS) + b"]")
+    except ValueError:
+        return None
+    return fields if len(fields) == cols * rows else None
 
 
 class DataLines:
@@ -184,9 +228,18 @@ def _parse_dimacs(source: str | bytes | IO) -> Graph:
 
 
 def load_graph(source: str | bytes | IO, fmt: str = "edgelist") -> Graph:
-    """Parse a graph from text, bytes, or a readable stream."""
+    """Parse a graph from text, bytes, or a readable stream.
+
+    An edgelist in the shape :func:`save_graph` writes is read in one pass;
+    any other text goes through the line reader."""
     if fmt == "edgelist":
-        return _parse_edgelist(source)
+        text = read_text(source)
+        fields = whole_ints(text, 2)
+        if fields and not size_error(fields[0], fields[1]) and fields[1] == len(fields) // 2 - 1:
+            # Past the header the line reader hands these same pairs to
+            # build_graph, so any error from here on is the one it would raise.
+            return build_graph(fields[0], zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)))
+        return _parse_edgelist(text)
     if fmt == "dimacs":
         return _parse_dimacs(source)
     raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")

@@ -44,6 +44,19 @@ def test_colouring_rejects_out_of_palette():
         Colouring((1, 3), palette=2)
 
 
+@pytest.mark.parametrize(
+    "colours, message",
+    [
+        ((1, 3, 0, 5), "vertex 2 has colour 3 outside 1..2"),
+        ((2, 2, 0, 5), "vertex 3 has colour 0 outside 1..2"),
+        ((1, 2, 2, 5), "vertex 4 has colour 5 outside 1..2"),
+    ],
+)
+def test_colouring_names_the_first_vertex_outside_the_palette(colours, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Colouring(colours, palette=2)
+
+
 def test_colouring_used_counts_distinct():
     col = Colouring((1, 1, 3), palette=4)
     assert col.used == 2
@@ -70,6 +83,8 @@ def test_colouring_file_round_trip():
         ("# n c\n\nx 2\n", "colouring file: malformed header 'x 2' at line 3, expected 'n c'"),
         ("1 2\n# v colour\n1 a\n", "colouring file: malformed line '1 a' at line 3, expected 'v colour'"),
         ("0 -5\n", "palette must be >= 0, got -5"),
+        # A header far beyond the body is refused before any list of that size exists.
+        ("99999999999999 1\n1 1\n", "header declares 99999999999999 vertices, body has 1 lines"),
     ],
 )
 def test_colouring_file_errors(text, fragment):

@@ -1,6 +1,8 @@
 """The single reach kernel, the heap orderers, the pruning exact oracles, the
 one-pass validator and the sorted-adjacency graph builder and writer against
-the earlier reach, orderer, greedy, exact-search, validator and graph I/O code."""
+the earlier reach, orderer, greedy, exact-search, validator and graph I/O code;
+and the one-pass readers of graph, ordering and colouring files against the
+line reader."""
 
 import random
 from itertools import combinations
@@ -8,6 +10,9 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cfcolour.colouring
+import cfcolour.graph
+import cfcolour.reach
 from cfcolour import (
     Colouring,
     GenSpec,
@@ -19,11 +24,18 @@ from cfcolour import (
     exact_scol,
     generate,
     greedy_cf_colouring,
+    load_colouring,
+    load_graph,
+    load_ordering,
     min_backreach_order,
+    save_colouring,
     save_graph,
+    save_ordering,
     verify_colouring,
 )
-from cfcolour.colouring import CRITERIA, _violations
+from cfcolour.colouring import CRITERIA, _parse_colouring, _violations
+from cfcolour.graph import _parse_edgelist
+from cfcolour.reach import _parse_ordering
 from oracles import (
     reference_build_graph,
     reference_degeneracy_order,
@@ -250,3 +262,127 @@ def test_builder_accepts_what_the_reference_code_accepts(t):
             build_graph(n, edges)
     else:
         assert build_graph(n, edges) == want
+
+
+# --- one-pass readers against the line reader ------------------------------
+
+# Per file kind: the loader, its line reader, and whether the first line is a
+# header.  The loader reads the text in one pass when it has the shape the
+# package writes and falls back to the line reader otherwise.
+READERS = {
+    "graph": (load_graph, _parse_edgelist, True),
+    "ordering": (load_ordering, _parse_ordering, False),
+    "colouring": (load_colouring, _parse_colouring, True),
+}
+
+
+@st.composite
+def written_file(draw):
+    """A file kind, the text the package writes for a random object of that kind,
+    and the object."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    n = draw(st.integers(2, 12))
+    if kind == "graph":
+        pairs = list(combinations(range(1, n + 1), 2))
+        obj = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)))
+        return kind, save_graph(obj), obj
+    if kind == "ordering":
+        obj = VertexOrdering(tuple(draw(st.permutations(range(1, n + 1)))))
+        return kind, save_ordering(obj), obj
+    palette = draw(st.integers(1, 5))
+    obj = Colouring(tuple(draw(st.lists(st.integers(1, palette), min_size=n, max_size=n))), palette)
+    return kind, save_colouring(obj), obj
+
+
+def mutate(text, kind, mutation, data):
+    """``text`` with one ``mutation`` applied to a line drawn from ``data``."""
+    lines = text.split("\n")[:-1]
+    header = READERS[kind][2]
+    body = range(1 if header else 0, len(lines))
+    i = data.draw(st.sampled_from(body))
+    fields = lines[i].split(" ")
+    n = int(lines[0].split()[0]) if kind == "graph" else len(body)
+    if mutation == "crlf":
+        return text.replace("\n", "\r\n")
+    if mutation == "no final newline":
+        return text[:-1]
+    if mutation == "leading zero":
+        fields[-1] = "0" + fields[-1]
+    elif mutation == "plus":
+        fields[0] = "+" + fields[0]
+    elif mutation == "tab":
+        lines[i] = "\t".join(fields) if len(fields) > 1 else lines[i] + "\t"
+    elif mutation == "double space":
+        lines[i] = "  ".join(fields) if len(fields) > 1 else " " + lines[i]
+    elif mutation == "trailing space":
+        lines[i] += " "
+    elif mutation == "blank line":
+        lines.insert(i, "")
+    elif mutation == "comment line":
+        lines.insert(i, "# note")
+    elif mutation == "swapped lines":
+        j = data.draw(st.sampled_from(body))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation == "reversed line":
+        fields.reverse()
+    elif mutation == "duplicated line":
+        lines.insert(i, lines[i])
+    elif mutation == "dropped line":
+        del lines[i]
+    elif mutation == "count off by one":
+        head = lines[0].split(" ")
+        k = 1 if kind == "graph" else 0
+        head[k] = str(int(head[k]) + data.draw(st.sampled_from([-1, 1])))
+        lines[0] = " ".join(head)
+    elif mutation == "vertex 0 or n+1":
+        fields[data.draw(st.sampled_from([0, -1] if kind == "graph" else [0]))] = data.draw(
+            st.sampled_from(["0", str(n + 1)])
+        )
+    elif mutation == "self-loop":
+        fields[-1] = fields[0]
+    if mutation in ("leading zero", "plus", "reversed line", "vertex 0 or n+1", "self-loop"):
+        lines[i] = " ".join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+MUTATIONS = [
+    "leading zero", "plus", "tab", "double space", "trailing space", "crlf", "no final newline",
+    "blank line", "comment line", "swapped lines", "reversed line", "duplicated line",
+    "dropped line", "count off by one", "vertex 0 or n+1", "self-loop",
+]
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+@settings(max_examples=600, deadline=None)
+@given(written_file(), st.sampled_from(MUTATIONS), st.data())
+def test_one_pass_readers_match_the_line_reader_on_mutated_files(written, mutation, data):
+    kind, text, _ = written
+    if mutation == "count off by one" and not READERS[kind][2]:
+        mutation = "vertex 0 or n+1"
+    mutated = mutate(text, kind, mutation, data)
+    load, parse_lines, _ = READERS[kind]
+    assert outcome(load, mutated) == outcome(parse_lines, mutated)
+
+
+class NoLineReader:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the line reader ran on a file in the written shape")
+
+
+@settings(max_examples=150, deadline=None)
+@given(written_file())
+def test_written_files_are_read_in_one_pass(written):
+    kind, text, obj = written
+    load, parse_lines, _ = READERS[kind]
+    assert parse_lines(text) == obj
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cfcolour.graph, cfcolour.reach, cfcolour.colouring):
+            patch.setattr(module, "DataLines", NoLineReader)
+        assert load(text) == obj
+        assert load(text.encode()) == obj

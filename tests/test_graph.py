@@ -6,8 +6,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from cfcolour import GenSpec, build_graph, generate, load_graph, save_graph
-from cfcolour.graph import MAX_VERTICES
+from cfcolour import (
+    GenSpec,
+    VertexOrdering,
+    build_graph,
+    generate,
+    greedy_cf_colouring,
+    load_colouring,
+    load_graph,
+    load_ordering,
+    save_colouring,
+    save_graph,
+    save_ordering,
+)
+from cfcolour.graph import MAX_VERTICES, whole_ints
 
 
 def test_build_two_vertices_one_edge():
@@ -140,20 +152,61 @@ def load_error_and_peak(text, fmt):
 
 
 def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
-    # Traced peaks over the text length, measured on Python 3.11: about 25x
-    # for the load and 8x for the save.  A set of edge pairs in build_graph,
-    # or an edge list and a line list in save_graph, pushes them past 30x and 11x.
+    # Traced peaks over the length of the text read or written, measured on
+    # Python 3.11: about 20x for load_graph, 8x for save_graph, 17x for
+    # load_ordering and 12.5x for load_colouring.  The line reader's list of
+    # stripped lines pushes the three loads to 25x, 27x and 22x; a set of edge
+    # pairs in build_graph, or an edge list and a line list in save_graph,
+    # push those two further still.
     g = generate(GenSpec("planar3tree", (20000,), 1))
-    text = save_graph(g)
+    ordering = VertexOrdering.identity(g.n)
+    colouring = greedy_cf_colouring(g, ordering)
+    texts = [save_graph(g), save_ordering(ordering), save_colouring(colouring)]
+    calls = [
+        (lambda: load_graph(texts[0]), texts[0], 23),
+        (lambda: save_graph(g), texts[0], 11),
+        (lambda: load_ordering(texts[1]), texts[1], 21),
+        (lambda: load_colouring(texts[2]), texts[2], 17),
+    ]
     peaks = []
-    for call in (lambda: load_graph(text), lambda: save_graph(g)):
+    for call, text, _ in calls:
         tracemalloc.start()
         try:
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 30 and peaks[1] < 11, peaks
+    assert all(peak < bound for peak, (_, _, bound) in zip(peaks, calls)), peaks
+
+
+@pytest.mark.parametrize(
+    "text, cols, fields",
+    [
+        ("3 2\n1 2\n2 3\n", 2, [3, 2, 1, 2, 2, 3]),
+        ("2\n10\n1\n", 1, [2, 10, 1]),
+        ("0 0\n", 2, [0, 0]),
+        ("", 2, None),  # no final newline
+        ("\n", 1, None),  # an empty field
+        ("3 2\n1 2\n2 3", 2, None),
+        ("3 2\n1 2\n2 34", 2, None),
+        ("3 2\n1 02\n", 2, None),  # a leading zero: int() reads it, JSON does not
+        ("3 2\n1  2\n", 2, None),
+        ("3 2\n1 2 \n", 2, None),
+        ("3 2\n 1 2\n", 2, None),
+        ("3 2\n1\t2\n", 2, None),
+        ("3 2\r\n1 2\r\n", 2, None),
+        ("3 2\n\n1 2\n", 2, None),
+        ("# c\n3 2\n", 2, None),
+        ("3 2\n+1 2\n", 2, None),
+        ("3 2\n-1 2\n", 2, None),
+        ("3 2\n1 2 3\n", 2, None),
+        ("3 2\n1\n", 2, None),
+        ("3 2\n1 \u0662\n", 2, None),  # a non-ASCII digit
+        ("3 2\n1 2e0\n", 2, None),
+    ],
+)
+def test_whole_ints_reads_only_the_written_shape(text, cols, fields):
+    assert whole_ints(text, cols) == fields
 
 
 def test_build_graph_rejects_too_many_vertices():
