@@ -29,8 +29,8 @@ def bound(kind: str, x: int) -> int:
             raise ValueError(f"kplanar bound needs x >= 0, got {x}")
         return 60 * x + 59
     if kind == "minor":
-        if x < 2:
-            raise ValueError(f"minor bound needs x >= 2, got {x}")
+        if x < 3:  # the K_t-minor-free bound gives no palette for t = 2
+            raise ValueError(f"minor bound needs x >= 3, got {x}")
         return 5 * (x - 1) * (x - 2) - 1
     raise ValueError(f"unknown bound kind {kind!r}, expected one of {BOUND_KINDS}")
 

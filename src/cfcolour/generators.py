@@ -90,7 +90,7 @@ TABLE = {
     "path": Family((("n", 1),), False, lambda n: (n, n - 1),
                    lambda n, rng: [(i, i + 1) for i in range(1, n)]),
     "cycle": Family((("n", 3),), False, lambda n: (n, n),
-                    lambda n, rng: [(i, i + 1) for i in range(1, n)] + [(n, 1)]),
+                    lambda n, rng: [(1, 2), (1, n)] + [(i, i + 1) for i in range(2, n)]),
     "complete": Family((("n", 1),), False, lambda n: (n, n * (n - 1) // 2),
                        lambda n, rng: list(combinations(range(1, n + 1), 2))),
     "star": Family((("leaves", 0),), False, lambda k: (k + 1, k),

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from operator import lt
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cfcolour import (
     FAMILIES,
     GenSpec,
+    build_graph,
     degeneracy_order,
     generate,
     load_corpus,
@@ -33,6 +35,14 @@ def test_cycle_contract():
     g = generate(GenSpec("cycle", (5,)))
     assert (g.n, g.m) == (5, 5)
     assert degrees(g) == [2] * 5
+
+
+def test_cycle_edges_increase_and_give_the_graph_of_the_creation_order():
+    # (1, n) comes second, so the list strictly increases and build_graph checks it in bulk.
+    for n in range(3, 41):
+        edges = TABLE["cycle"].edges(n, None)
+        assert all(map(lt, edges, edges[1:])) and all(u < v for u, v in edges)
+        assert generate(GenSpec("cycle", (n,))) == build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def test_complete_contract():

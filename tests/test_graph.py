@@ -1,7 +1,8 @@
+import gc
 import io
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,6 +59,62 @@ def test_build_edge_order_irrelevant():
 def test_build_rejects_bad_edges(n, edges, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         build_graph(n, edges)
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collecting(request):
+    """Run the test with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize(
+    "n, edges, fragment",
+    [
+        pytest.param(3, [(1, 2), (2, 3)], None, id="increasing"),
+        pytest.param(3, [(2, 3), (1, 2)], None, id="checked"),
+        pytest.param(3, [(1, 4)], "endpoint 4", id="out of range"),
+        pytest.param(3, [(2, 2)], "self-loop", id="self-loop"),
+        pytest.param(3, [(1, 2), (2, 1)], "duplicate edge (1, 2)", id="duplicate"),
+    ],
+)
+def test_build_graph_leaves_the_collector_as_it_found_it(collecting, n, edges, fragment):
+    if fragment is None:
+        build_graph(n, edges)
+    else:
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            build_graph(n, edges)
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(save_graph(generate(GenSpec("grid", (3, 4)))), None, id="written"),
+        pytest.param("3 2\n1 2\n2 4\n", "edge (2,4): endpoint 4 out of range 1..3", id="field n+1"),
+    ],
+)
+def test_load_graph_leaves_the_collector_as_it_found_it(collecting, text, fragment):
+    if fragment is None:
+        assert load_graph(text) == generate(GenSpec("grid", (3, 4)))
+    else:
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            load_graph(text)
+    assert gc.isenabled() is collecting
+
+
+def test_build_graph_pauses_the_collector_while_it_builds(collecting):
+    states = set()
+
+    def edges():
+        for v in range(1, 10):
+            states.add(gc.isenabled())
+            yield (v, v + 1)
+
+    assert build_graph(10, edges()).m == 9
+    assert states == {False} and gc.isenabled() is collecting
 
 
 def test_load_edgelist_path():
@@ -153,30 +210,39 @@ def load_error_and_peak(text, fmt):
 
 def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     # Traced peaks over the length of the text read or written, measured on
-    # Python 3.11: about 20x for load_graph, 8x for save_graph, 17x for
+    # Python 3.11: about 16.5x for load_graph, 8x for save_graph, 17x for
     # load_ordering and 12.5x for load_colouring.  The line reader's list of
-    # stripped lines pushes the three loads to 25x, 27x and 22x; a set of edge
-    # pairs in build_graph, or an edge list and a line list in save_graph,
-    # push those two further still.
+    # stripped lines pushes the three loads to 25x, 27x and 22x; an edge list
+    # and a line list in save_graph push it further still.  The graph that
+    # load_graph keeps is about 4.5x: one int object per vertex, not one per
+    # adjacency entry (8.4x).
     g = generate(GenSpec("planar3tree", (20000,), 1))
     ordering = VertexOrdering.identity(g.n)
     colouring = greedy_cf_colouring(g, ordering)
     texts = [save_graph(g), save_ordering(ordering), save_colouring(colouring)]
     calls = [
-        (lambda: load_graph(texts[0]), texts[0], 23),
+        (lambda: load_graph(texts[0]), texts[0], 19),
         (lambda: save_graph(g), texts[0], 11),
         (lambda: load_ordering(texts[1]), texts[1], 21),
         (lambda: load_colouring(texts[2]), texts[2], 17),
     ]
-    peaks = []
+    peaks, kept = [], []
     for call, text, _ in calls:
         tracemalloc.start()
         try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+            result = call()  # kept alive while the traced memory is read
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak / len(text))
+            kept.append(current / len(text))
         finally:
             tracemalloc.stop()
     assert all(peak < bound for peak, (_, _, bound) in zip(peaks, calls)), peaks
+    assert kept[0] < 6, kept
+
+
+def test_loaded_graph_holds_one_int_object_per_vertex():
+    g = load_graph(save_graph(generate(GenSpec("grid", (250, 400)))))
+    assert len(set(map(id, chain.from_iterable(g.adjacency)))) == g.n
 
 
 @pytest.mark.parametrize(
