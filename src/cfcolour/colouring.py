@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import IO, Collection, Literal, Sequence
 
-from .graph import DataLines, Graph, int_pairs, read_text, whole_ints
+from .graph import DataLines, Graph
 from .reach import VertexOrdering, _check_args, _check_limit, _reach
 
 Criterion = Literal["proper", "odd", "conflict_free"]
@@ -200,25 +201,20 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 def load_colouring(source: str | bytes | IO) -> Colouring:
     """Read a colouring file: header "n c", then n lines "v colour".
 
-    A file in the shape :func:`save_colouring` writes, vertices in order, is
-    read in one pass; any other text goes through the line reader."""
-    text = read_text(source)
-    fields = whole_ints(text, 2)
-    # The count goes first, so a header far beyond the body allocates nothing.
-    if fields and fields[0] == len(fields) // 2 - 1 and fields[2::2] == list(range(1, fields[0] + 1)):
-        return Colouring(colours=tuple(fields[3::2]), palette=fields[1])
-    return _parse_colouring(text)
-
-
-def _parse_colouring(source: str | bytes | IO) -> Colouring:
-    lines = DataLines("colouring file", source)
-    if not lines.rows:
+    A file in the shape :func:`save_colouring` writes is read in one pass (see
+    :class:`~cfcolour.graph.DataLines`)."""
+    lines = DataLines("colouring file", source, cols=2)
+    if not lines.count:
         raise ValueError("colouring file: missing 'n c' header line")
-    n, c = lines.ints(0, 1, "header", "n c", int_pairs)[0]
-    if len(lines.rows) - 1 != n:
-        raise ValueError(f"colouring file: header declares {n} vertices, body has {len(lines.rows) - 1} lines")
+    n, c = lines.ints("header", "n c", 1)[:2]
+    # The count goes first, so a header far beyond the body allocates nothing.
+    if lines.count - 1 != n:
+        raise ValueError(f"colouring file: header declares {n} vertices, body has {lines.count - 1} lines")
+    fields = lines.ints("line", "v colour")
+    if fields[2::2] == list(range(1, n + 1)):  # vertices in order, as written
+        return Colouring(colours=tuple(fields[3::2]), palette=c)
     colours: list[int | None] = [None] * n
-    for v, colour in lines.ints(1, None, "line", "v colour", int_pairs):
+    for v, colour in zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)):
         if not 1 <= v <= n:
             raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
         if colours[v - 1] is not None:

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 from operator import lt
-from typing import IO, Callable, Iterable, Iterator, Literal, Sequence
+from typing import IO, Iterable, Iterator, Literal
 
 # Per format, the prefix of the "n m" header line and the tag of each edge row.
 _TEXT_TAGS = {"edgelist": ("", ""), "dimacs": ("p edge ", "e ")}
@@ -136,11 +136,6 @@ def read_text(source: str | bytes | IO) -> str:
     return data.decode("utf-8") if isinstance(data, bytes) else data
 
 
-def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
-    """Rows of two integer fields, such as ``"u v"``, as int pairs."""
-    return [(int(a), int(b)) for a, b in map(str.split, rows)]
-
-
 # Deleting every digit from a text in the shape the package writes leaves
 # cols - 1 spaces and a newline per line; the spaces and newlines then become
 # the commas of one JSON array.
@@ -151,8 +146,9 @@ _COMMAS = bytes.maketrans(b" \n", b",,")
 def whole_ints(text: str, cols: int) -> list[int] | None:
     """The fields of ``text``, read in one pass, if it has the exact shape the
     package writes: ASCII, ending in a newline, and every line ``cols`` runs of
-    digits joined by single spaces.  None for any other text, which the caller
-    then reads with :class:`DataLines`, so every syntax error comes from it."""
+    digits joined by single spaces.  None for any other text, which
+    :class:`DataLines` then splits into rows, so every syntax error comes from
+    the row parse."""
     if not text.isascii() or not text.endswith("\n"):
         return None
     data = text.encode()
@@ -169,104 +165,116 @@ def whole_ints(text: str, cols: int) -> list[int] | None:
 
 
 class DataLines:
-    """The data lines of a text in one of the package's file formats.
+    """The data lines of a text in one of the package's file formats, read as
+    one flat list of int fields.
 
-    ``rows`` holds the stripped lines that are neither blank nor comments
-    (lines starting with ``comment``).  Line numbers are counted again only
-    to report an error, so the parse loops do not track them.
+    A text in the shape the package writes, ``cols`` runs of digits a line,
+    is read in one pass by :func:`whole_ints`, and ``rows`` is None.  Any
+    other text, and every text when ``cols`` is 0, is split into ``rows``:
+    the stripped lines that are neither blank nor comments (lines starting
+    with ``comment``).  ``count`` is the number of data lines either way.
+    Line numbers are counted again only to report an error.
     """
 
-    def __init__(self, fmt: str, source: str | bytes | IO, comment: Literal["#", "c"] = "#"):
+    def __init__(self, fmt: str, source: str | bytes | IO, comment: Literal["#", "c"] = "#", cols: int = 0):
         self.fmt = fmt
         self.comment = comment
         self.text = read_text(source)
-        self.rows = [ln for ln in map(str.strip, self.text.splitlines()) if ln and not ln.startswith(comment)]
+        self.fields = whole_ints(self.text, cols) if cols else None
+        if self.fields is None:
+            self.rows, self.fields = self.data_rows(), []
+            self.count = len(self.rows)
+        else:
+            self.rows, self.count = None, len(self.fields) // cols
+        self.parsed = 0  # rows already parsed into fields
+
+    def data_rows(self) -> list[str]:
+        return [ln for ln in map(str.strip, self.text.splitlines()) if ln and not ln.startswith(self.comment)]
 
     def error(self, i: int, what: str, expected: str | None = None) -> ValueError:
-        """A ValueError about ``rows[i]`` that names the format and the 1-based line."""
+        """A ValueError about data line ``i`` that names the format and the 1-based line."""
         lines = enumerate(map(str.strip, self.text.splitlines()), 1)
         numbers = (k for k, ln in lines if ln and not ln.startswith(self.comment))
         tail = "" if expected is None else f", expected {expected!r}"
         return ValueError(f"{self.fmt}: {what} at line {next(islice(numbers, i, None))}{tail}")
 
-    def ints(self, start: int, stop: int | None, kind: str, shape: str,
-             convert: Callable[[list[str]], Sequence]) -> Sequence:
-        """Return ``convert(rows[start:stop])``, one comprehension of int() calls
-        over the rows.  If it fails, name the first row that fails on its own as
-        a malformed ``kind`` whose fields should read ``shape``."""
-        rows = self.rows[start:stop]
+    def ints(self, kind: str, shape: str, stop: int | None = None, tags: int = 0) -> list[int]:
+        """The int fields of the data lines, flat and in order.
+
+        Rows not yet parsed, up to ``stop``, are parsed first.  Each must have
+        the words of ``shape``: ``tags`` tags, which the caller checks, then
+        int fields.  The first that does not is named as a malformed ``kind``.
+        So a header can be checked before the body is parsed."""
+        if self.rows is None:
+            return self.fields
+        width = shape.count(" ") + 1
+
+        def parse(rows: list[str]) -> list[int]:
+            # A row of another width hands int() an empty word, which it refuses.
+            return [int(word) for words in map(str.split, rows)
+                    for word in (words[tags:] if len(words) == width else [""])]
+
+        rows = self.rows[self.parsed:stop]
         try:
-            return convert(rows)
+            self.fields += parse(rows)
         except ValueError:
-            for i, row in enumerate(rows, start):
+            for i, row in enumerate(rows, self.parsed):
                 try:
-                    convert([row])
+                    parse([row])
                 except ValueError:
                     raise self.error(i, f"malformed {kind} {row!r}", shape) from None
             raise
-
-
-def _parse_edgelist(source: str | bytes | IO) -> Graph:
-    lines = DataLines("edgelist", source)
-    if not lines.rows:
-        raise ValueError("edgelist: missing 'n m' header line")
-    n, m = lines.ints(0, 1, "header", "n m", int_pairs)[0]
-    if reason := size_error(n, m):
-        raise lines.error(0, reason)
-    if len(lines.rows) - 1 != m:
-        raise ValueError(f"edgelist: header declares {m} edges but body has {len(lines.rows) - 1} lines")
-    return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
-
-
-def _parse_dimacs(source: str | bytes | IO) -> Graph:
-    lines = DataLines("dimacs", source, comment="c")
-    rows = lines.rows
-    if not rows:
-        raise ValueError("dimacs: missing 'p edge n m' line")
-    for i, row in enumerate(rows):
-        tag = row.split(None, 1)[0]
-        if tag != ("e" if i else "p"):
-            known = {"e": "edge line before 'p edge n m' line", "p": "repeated 'p' line"}
-            raise lines.error(i, known.get(tag, f"unknown line prefix {tag!r}"))
-    if rows[0].split()[1:2] != ["edge"]:
-        raise lines.error(0, f"malformed problem line {rows[0]!r}", "p edge n m")
-    n, m = lines.ints(0, 1, "problem line", "p edge n m",
-                      lambda r: [(int(a), int(b)) for _, _, a, b in map(str.split, r)])[0]
-    if reason := size_error(n, m):
-        raise lines.error(0, reason)
-    if len(rows) - 1 != m:
-        raise ValueError(f"dimacs: problem line declares {m} edges but found {len(rows) - 1}")
-    return build_graph(n, lines.ints(1, None, "line", "e u v",
-                                     lambda r: [(int(u), int(v)) for _, u, v in map(str.split, r)]))
+        self.parsed += len(rows)
+        return self.fields
 
 
 def load_graph(source: str | bytes | IO, fmt: str = "edgelist") -> Graph:
     """Parse a graph from text, bytes, or a readable stream.
 
-    An edgelist in the shape :func:`save_graph` writes is read in one pass;
-    any other text goes through the line reader.  The one-pass read maps every
-    field past the header to one shared int per vertex, so the adjacency
-    holds one int object per vertex rather than one per entry."""
+    An edgelist in the shape :func:`save_graph` writes is read in one pass
+    (see :class:`DataLines`), and its fields past the header are mapped to one
+    shared int per vertex, so the adjacency holds one int object per vertex
+    rather than one per entry.  A DIMACS text is always read line by line."""
     if fmt == "edgelist":
-        text = read_text(source)
-        fields = whole_ints(text, 2)
-        if fields and not size_error(fields[0], fields[1]) and fields[1] == len(fields) // 2 - 1:
-            # Chunk by chunk, so each chunk's parsed ints are freed as they
-            # are replaced.  A field above n stops the mapping, which leaves
-            # the values as they were.
-            ids, step = list(range(fields[0] + 1)), 1 << 16
-            for a in range(2, len(fields), step):
-                try:
-                    fields[a:a + step] = map(ids.__getitem__, fields[a:a + step])
-                except IndexError:
-                    break
-            # Past the header the line reader hands these same pairs to
-            # build_graph, so any error from here on is the one it would raise.
-            return build_graph(fields[0], zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)))
-        return _parse_edgelist(text)
-    if fmt == "dimacs":
-        return _parse_dimacs(source)
-    raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+        lines = DataLines(fmt, source, cols=2)
+        if not lines.count:
+            raise ValueError("edgelist: missing 'n m' header line")
+        n, m = lines.ints("header", "n m", 1)[:2]
+        declared = f"header declares {m} edges but body has {lines.count - 1} lines"
+        edge_shape, tags = "u v", 0
+    elif fmt == "dimacs":
+        lines = DataLines(fmt, source, comment="c")
+        if not lines.rows:
+            raise ValueError("dimacs: missing 'p edge n m' line")
+        for i, row in enumerate(lines.rows):
+            tag = row.split(None, 1)[0]
+            if tag != ("e" if i else "p"):
+                known = {"e": "edge line before 'p edge n m' line", "p": "repeated 'p' line"}
+                raise lines.error(i, known.get(tag, f"unknown line prefix {tag!r}"))
+        if lines.rows[0].split()[1:2] != ["edge"]:
+            raise lines.error(0, f"malformed problem line {lines.rows[0]!r}", "p edge n m")
+        n, m = lines.ints("problem line", "p edge n m", 1, tags=2)[:2]
+        declared = f"problem line declares {m} edges but found {lines.count - 1}"
+        edge_shape, tags = "e u v", 1
+    else:
+        raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    if reason := size_error(n, m):
+        raise lines.error(0, reason)
+    if lines.count - 1 != m:
+        raise ValueError(f"{fmt}: {declared}")
+    fields = lines.ints("line", edge_shape, tags=tags)
+    if lines.rows is None:
+        # Written fields are digit runs, never negative, so ids[-1] stands in
+        # for none.  Chunk by chunk, so each chunk's parsed ints are freed as
+        # they are replaced; a field above n stops the mapping, and build_graph
+        # then names it.
+        ids, step = list(range(n + 1)), 1 << 16
+        for a in range(2, len(fields), step):
+            try:
+                fields[a:a + step] = map(ids.__getitem__, fields[a:a + step])
+            except IndexError:
+                break
+    return build_graph(n, zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)))
 
 
 def save_graph(g: Graph, fmt: str = "edgelist") -> str:

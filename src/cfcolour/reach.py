@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence
 
-from .graph import DataLines, Graph, read_text, whole_ints
+from .graph import DataLines, Graph
 
 
 @dataclass(frozen=True)
@@ -322,16 +322,9 @@ def make_ordering(g: Graph, strategy: str) -> VertexOrdering:
 def load_ordering(source: str | bytes | IO) -> VertexOrdering:
     """Read an ordering file: one 1-based vertex id per line, top line first.
 
-    A file in the shape :func:`save_ordering` writes is read in one pass; any
-    other text goes through the line reader."""
-    text = read_text(source)
-    fields = whole_ints(text, 1)
-    return _parse_ordering(text) if fields is None else VertexOrdering(tuple(fields))
-
-
-def _parse_ordering(source: str | bytes | IO) -> VertexOrdering:
-    lines = DataLines("ordering file", source)
-    return VertexOrdering(lines.ints(0, None, "line", "v", lambda rows: tuple(map(int, rows))))
+    A file in the shape :func:`save_ordering` writes is read in one pass (see
+    :class:`~cfcolour.graph.DataLines`)."""
+    return VertexOrdering(tuple(DataLines("ordering file", source, cols=1).ints("line", "v")))
 
 
 def save_ordering(ordering: VertexOrdering) -> str:

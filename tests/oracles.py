@@ -4,12 +4,12 @@ library's search strategies."""
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from itertools import combinations, islice, permutations, product
+from typing import IO, Callable, Iterable, Literal, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
-from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
+from cfcolour.graph import FORMATS, MAX_VERTICES, read_text, size_error
 from cfcolour.reach import _reach
 
 
@@ -534,3 +534,106 @@ def reference_save_graph(g: Graph, fmt: str = "edgelist") -> str:
     else:
         raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
     return "\n".join(lines) + "\n"
+
+
+# The line readers of graph, ordering and colouring files before the one read
+# path per format, with the line splitter and int conversions they used: each
+# loader read a text in the written shape in one pass and handed any other
+# text to these.  Verbatim.
+def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
+    """Rows of two integer fields, such as ``"u v"``, as int pairs."""
+    return [(int(a), int(b)) for a, b in map(str.split, rows)]
+
+
+class DataLines:
+    """The data lines of a text in one of the package's file formats.
+
+    ``rows`` holds the stripped lines that are neither blank nor comments
+    (lines starting with ``comment``).  Line numbers are counted again only
+    to report an error, so the parse loops do not track them.
+    """
+
+    def __init__(self, fmt: str, source: str | bytes | IO, comment: Literal["#", "c"] = "#"):
+        self.fmt = fmt
+        self.comment = comment
+        self.text = read_text(source)
+        self.rows = [ln for ln in map(str.strip, self.text.splitlines()) if ln and not ln.startswith(comment)]
+
+    def error(self, i: int, what: str, expected: str | None = None) -> ValueError:
+        """A ValueError about ``rows[i]`` that names the format and the 1-based line."""
+        lines = enumerate(map(str.strip, self.text.splitlines()), 1)
+        numbers = (k for k, ln in lines if ln and not ln.startswith(self.comment))
+        tail = "" if expected is None else f", expected {expected!r}"
+        return ValueError(f"{self.fmt}: {what} at line {next(islice(numbers, i, None))}{tail}")
+
+    def ints(self, start: int, stop: int | None, kind: str, shape: str,
+             convert: Callable[[list[str]], Sequence]) -> Sequence:
+        """Return ``convert(rows[start:stop])``, one comprehension of int() calls
+        over the rows.  If it fails, name the first row that fails on its own as
+        a malformed ``kind`` whose fields should read ``shape``."""
+        rows = self.rows[start:stop]
+        try:
+            return convert(rows)
+        except ValueError:
+            for i, row in enumerate(rows, start):
+                try:
+                    convert([row])
+                except ValueError:
+                    raise self.error(i, f"malformed {kind} {row!r}", shape) from None
+            raise
+
+
+def reference_parse_edgelist(source: str | bytes | IO) -> Graph:
+    lines = DataLines("edgelist", source)
+    if not lines.rows:
+        raise ValueError("edgelist: missing 'n m' header line")
+    n, m = lines.ints(0, 1, "header", "n m", int_pairs)[0]
+    if reason := size_error(n, m):
+        raise lines.error(0, reason)
+    if len(lines.rows) - 1 != m:
+        raise ValueError(f"edgelist: header declares {m} edges but body has {len(lines.rows) - 1} lines")
+    return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
+
+
+def reference_parse_dimacs(source: str | bytes | IO) -> Graph:
+    lines = DataLines("dimacs", source, comment="c")
+    rows = lines.rows
+    if not rows:
+        raise ValueError("dimacs: missing 'p edge n m' line")
+    for i, row in enumerate(rows):
+        tag = row.split(None, 1)[0]
+        if tag != ("e" if i else "p"):
+            known = {"e": "edge line before 'p edge n m' line", "p": "repeated 'p' line"}
+            raise lines.error(i, known.get(tag, f"unknown line prefix {tag!r}"))
+    if rows[0].split()[1:2] != ["edge"]:
+        raise lines.error(0, f"malformed problem line {rows[0]!r}", "p edge n m")
+    n, m = lines.ints(0, 1, "problem line", "p edge n m",
+                      lambda r: [(int(a), int(b)) for _, _, a, b in map(str.split, r)])[0]
+    if reason := size_error(n, m):
+        raise lines.error(0, reason)
+    if len(rows) - 1 != m:
+        raise ValueError(f"dimacs: problem line declares {m} edges but found {len(rows) - 1}")
+    return build_graph(n, lines.ints(1, None, "line", "e u v",
+                                     lambda r: [(int(u), int(v)) for _, u, v in map(str.split, r)]))
+
+
+def reference_parse_ordering(source: str | bytes | IO) -> VertexOrdering:
+    lines = DataLines("ordering file", source)
+    return VertexOrdering(lines.ints(0, None, "line", "v", lambda rows: tuple(map(int, rows))))
+
+
+def reference_parse_colouring(source: str | bytes | IO) -> Colouring:
+    lines = DataLines("colouring file", source)
+    if not lines.rows:
+        raise ValueError("colouring file: missing 'n c' header line")
+    n, c = lines.ints(0, 1, "header", "n c", int_pairs)[0]
+    if len(lines.rows) - 1 != n:
+        raise ValueError(f"colouring file: header declares {n} vertices, body has {len(lines.rows) - 1} lines")
+    colours: list[int | None] = [None] * n
+    for v, colour in lines.ints(1, None, "line", "v colour", int_pairs):
+        if not 1 <= v <= n:
+            raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
+        if colours[v - 1] is not None:
+            raise ValueError(f"colouring file: vertex {v} listed twice")
+        colours[v - 1] = colour
+    return Colouring(colours=tuple(colours), palette=c)

@@ -77,6 +77,7 @@ def test_colouring_file_round_trip():
         ("2 2\n1 1\n", "declares 2 vertices"),
         ("2 2\n1 1\n1 2\n", "listed twice"),
         ("1 1\n5 1\n", "out of range"),
+        ("2 2\n-1 1\n2 1\n", "vertex -1 out of range 1..2"),
         ("1 1\n1 1 1\n", "malformed line"),
         ("x 2\n", "colouring file: malformed header"),
         ("1 2\n1 a\n", "colouring file: malformed line"),

@@ -1,18 +1,16 @@
 """The single reach kernel, the heap orderers, the pruning exact oracles, the
 one-pass validator and the sorted-adjacency graph builder and writer against
 the earlier reach, orderer, greedy, exact-search, validator and graph I/O code;
-and the one-pass readers of graph, ordering and colouring files against the
-line reader."""
+and the readers of graph, DIMACS, ordering and colouring files against the
+earlier line readers."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import cfcolour.colouring
-import cfcolour.graph
-import cfcolour.reach
 from cfcolour import (
     Colouring,
     GenSpec,
@@ -33,9 +31,8 @@ from cfcolour import (
     save_ordering,
     verify_colouring,
 )
-from cfcolour.colouring import CRITERIA, _parse_colouring, _violations
-from cfcolour.graph import _parse_edgelist
-from cfcolour.reach import _parse_ordering
+from cfcolour.colouring import CRITERIA, _violations
+from cfcolour.graph import DataLines
 from oracles import (
     reference_build_graph,
     reference_degeneracy_order,
@@ -43,6 +40,10 @@ from oracles import (
     reference_exact_scol,
     reference_greedy_cf_colouring,
     reference_min_backreach_order,
+    reference_parse_colouring,
+    reference_parse_dimacs,
+    reference_parse_edgelist,
+    reference_parse_ordering,
     reference_profile_sizes,
     reference_save_graph,
     reference_verify_colouring,
@@ -264,28 +265,31 @@ def test_builder_accepts_what_the_reference_code_accepts(t):
         assert build_graph(n, edges) == want
 
 
-# --- one-pass readers against the line reader ------------------------------
+# --- readers against the earlier line readers -----------------------------
 
-# Per file kind: the loader, its line reader, and whether the first line is a
-# header.  The loader reads the text in one pass when it has the shape the
-# package writes and falls back to the line reader otherwise.
+# Per file kind: the loader, the line reader it replaced, and whether the
+# first line is a header.  The loader reads a text in the shape the package
+# writes in one pass, and splits any other text into rows; a DIMACS text is
+# always split into rows.
 READERS = {
-    "graph": (load_graph, _parse_edgelist, True),
-    "ordering": (load_ordering, _parse_ordering, False),
-    "colouring": (load_colouring, _parse_colouring, True),
+    "graph": (load_graph, reference_parse_edgelist, True),
+    "dimacs": (partial(load_graph, fmt="dimacs"), reference_parse_dimacs, True),
+    "ordering": (load_ordering, reference_parse_ordering, False),
+    "colouring": (load_colouring, reference_parse_colouring, True),
 }
+ONE_PASS_KINDS = ["colouring", "graph", "ordering"]
 
 
 @st.composite
-def written_file(draw):
+def written_file(draw, kinds=sorted(READERS)):
     """A file kind, the text the package writes for a random object of that kind,
     and the object."""
-    kind = draw(st.sampled_from(sorted(READERS)))
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, 12))
-    if kind == "graph":
+    if kind in ("graph", "dimacs"):
         pairs = list(combinations(range(1, n + 1), 2))
         obj = build_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)))
-        return kind, save_graph(obj), obj
+        return kind, save_graph(obj, "dimacs" if kind == "dimacs" else "edgelist"), obj
     if kind == "ordering":
         obj = VertexOrdering(tuple(draw(st.permutations(range(1, n + 1)))))
         return kind, save_ordering(obj), obj
@@ -295,13 +299,15 @@ def written_file(draw):
 
 
 def mutate(text, kind, mutation, data):
-    """``text`` with one ``mutation`` applied to a line drawn from ``data``."""
+    """``text`` with one ``mutation`` applied to a line drawn from ``data``.  A
+    DIMACS line starts with a tag, which the field mutations leave alone."""
     lines = text.split("\n")[:-1]
     header = READERS[kind][2]
+    tags = 1 if kind == "dimacs" else 0  # "e u v", under "p edge n m"
     body = range(1 if header else 0, len(lines))
     i = data.draw(st.sampled_from(body))
     fields = lines[i].split(" ")
-    n = int(lines[0].split()[0]) if kind == "graph" else len(body)
+    n = int(lines[0].split()[2 * tags]) if kind in ("graph", "dimacs") else len(body)
     if mutation == "crlf":
         return text.replace("\n", "\r\n")
     if mutation == "no final newline":
@@ -309,7 +315,9 @@ def mutate(text, kind, mutation, data):
     if mutation == "leading zero":
         fields[-1] = "0" + fields[-1]
     elif mutation == "plus":
-        fields[0] = "+" + fields[0]
+        fields[tags] = "+" + fields[tags]
+    elif mutation == "negative vertex":
+        fields[tags] = "-" + fields[tags]
     elif mutation == "tab":
         lines[i] = "\t".join(fields) if len(fields) > 1 else lines[i] + "\t"
     elif mutation == "double space":
@@ -319,36 +327,36 @@ def mutate(text, kind, mutation, data):
     elif mutation == "blank line":
         lines.insert(i, "")
     elif mutation == "comment line":
-        lines.insert(i, "# note")
+        lines.insert(i, "c note" if tags else "# note")
     elif mutation == "swapped lines":
         j = data.draw(st.sampled_from(body))
         lines[i], lines[j] = lines[j], lines[i]
     elif mutation == "reversed line":
-        fields.reverse()
+        fields[tags:] = reversed(fields[tags:])
     elif mutation == "duplicated line":
         lines.insert(i, lines[i])
     elif mutation == "dropped line":
         del lines[i]
     elif mutation == "count off by one":
         head = lines[0].split(" ")
-        k = 1 if kind == "graph" else 0
+        k = 2 * tags + 1 if kind in ("graph", "dimacs") else 0
         head[k] = str(int(head[k]) + data.draw(st.sampled_from([-1, 1])))
         lines[0] = " ".join(head)
     elif mutation == "vertex 0 or n+1":
-        fields[data.draw(st.sampled_from([0, -1] if kind == "graph" else [0]))] = data.draw(
+        fields[data.draw(st.sampled_from([tags, -1] if kind in ("graph", "dimacs") else [0]))] = data.draw(
             st.sampled_from(["0", str(n + 1)])
         )
     elif mutation == "self-loop":
-        fields[-1] = fields[0]
-    if mutation in ("leading zero", "plus", "reversed line", "vertex 0 or n+1", "self-loop"):
+        fields[-1] = fields[tags]
+    if mutation in ("leading zero", "plus", "negative vertex", "reversed line", "vertex 0 or n+1", "self-loop"):
         lines[i] = " ".join(fields)
     return "".join(line + "\n" for line in lines)
 
 
 MUTATIONS = [
-    "leading zero", "plus", "tab", "double space", "trailing space", "crlf", "no final newline",
-    "blank line", "comment line", "swapped lines", "reversed line", "duplicated line",
-    "dropped line", "count off by one", "vertex 0 or n+1", "self-loop",
+    "leading zero", "plus", "negative vertex", "tab", "double space", "trailing space", "crlf",
+    "no final newline", "blank line", "comment line", "swapped lines", "reversed line",
+    "duplicated line", "dropped line", "count off by one", "vertex 0 or n+1", "self-loop",
 ]
 
 
@@ -370,19 +378,17 @@ def test_one_pass_readers_match_the_line_reader_on_mutated_files(written, mutati
     assert outcome(load, mutated) == outcome(parse_lines, mutated)
 
 
-class NoLineReader:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("the line reader ran on a file in the written shape")
+def no_rows(self):
+    raise AssertionError("a file in the written shape was split into rows")
 
 
 @settings(max_examples=150, deadline=None)
-@given(written_file())
+@given(written_file(ONE_PASS_KINDS))
 def test_written_files_are_read_in_one_pass(written):
     kind, text, obj = written
     load, parse_lines, _ = READERS[kind]
     assert parse_lines(text) == obj
     with pytest.MonkeyPatch.context() as patch:
-        for module in (cfcolour.graph, cfcolour.reach, cfcolour.colouring):
-            patch.setattr(module, "DataLines", NoLineReader)
+        patch.setattr(DataLines, "data_rows", no_rows)
         assert load(text) == obj
         assert load(text.encode()) == obj

@@ -147,6 +147,8 @@ def test_load_edgelist_out_of_range_endpoint():
         ("# n m\n\n3\n", "edgelist: malformed header '3' at line 3, expected 'n m'"),
         ("3 2\n1 2\n# next\n2 x\n", "edgelist: malformed line '2 x' at line 4, expected 'u v'"),
         ("3 1\n\n1 2 3\n", "malformed line '1 2 3' at line 3"),
+        # -1 is a field of the line reader, and an endpoint out of range.
+        pytest.param("3 1\n-1 2\n", re.escape("edge (-1,2): endpoint -1 out of range 1..3"), id="negative field"),
     ],
 )
 def test_load_edgelist_errors(text, fragment):
@@ -210,10 +212,10 @@ def load_error_and_peak(text, fmt):
 
 def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     # Traced peaks over the length of the text read or written, measured on
-    # Python 3.11: about 16.5x for load_graph, 8x for save_graph, 17x for
-    # load_ordering and 12.5x for load_colouring.  The line reader's list of
-    # stripped lines pushes the three loads to 25x, 27x and 22x; an edge list
-    # and a line list in save_graph push it further still.  The graph that
+    # Python 3.11: about 16.5x for load_graph, 8x for save_graph, 15x for
+    # load_ordering and 12.5x for load_colouring.  Split into rows (a text
+    # with a comment line), the three loads reach 25x, 21x and 21x; an edge
+    # list and a line list in save_graph push it further still.  The graph that
     # load_graph keeps is about 4.5x: one int object per vertex, not one per
     # adjacency entry (8.4x).
     g = generate(GenSpec("planar3tree", (20000,), 1))
