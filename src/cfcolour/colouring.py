@@ -63,28 +63,32 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     for every earlier neighbour, the colour of that neighbour's own leftmost
     neighbour; both blocking sets have at most r - 1 colours, so a free
     colour always exists.  Isolated vertices take the smallest free colour
-    like everyone else.  The palette comes from the same pass: each reach
-    set is computed once, both to block colours and to track r.
+    like everyone else.  It is one left-to-right pass: each reach set is
+    computed once, both to block colours and to track r, which gives the
+    palette; and the leftmost neighbour of u is the first of u's neighbours
+    to be coloured, so the pass records it when it colours that neighbour.
     """
     _check_args(g, ordering, 2)
     if g.n == 0:
         return Colouring(colours=(), palette=0)
     adj, pos = g.adjacency, ordering.pos
 
-    # leftmost[u] is u's neighbour of minimum position (None when isolated).
-    leftmost = [min(a, key=pos.__getitem__) if a else None for a in adj]
-
     colour_of = [0] * (g.n + 1)
+    first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour, 0 until one is coloured
     r = 0
     for v in ordering.seq:
         reach = _reach(adj, pos, v, 2)
-        r = max(r, len(reach))
+        if len(reach) > r:
+            r = len(reach)
         # colour_of[v] is still 0, which blocks no choice.
-        blocked = {colour_of[w] for w in reach}
+        blocked = set(map(colour_of.__getitem__, reach))
         pv = pos[v]
         for u in adj[v]:
-            if pos[u] < pv:
-                blocked.add(colour_of[leftmost[u]])
+            f = first[u]
+            if not f:
+                first[u] = v  # v is u's leftmost neighbour, and its colour blocks nothing yet
+            elif pos[u] < pv:
+                blocked.add(colour_of[f])
         choice = 1
         while choice in blocked:
             choice += 1
@@ -105,7 +109,9 @@ def _holds(counts: Collection[int], odd: bool) -> bool:
 def _violations(g: Graph, colours: Sequence[int]) -> dict[Criterion, int | None]:
     # The first violating vertex of each criterion (None where it holds), from
     # one pass that counts each neighbourhood's colours once; v violates proper
-    # when colours[v - 1] is among them.  Stops once all three have one.
+    # when colours[v - 1] is among them.  A count of 1 settles odd and
+    # conflict-free together, so _holds(..., True) runs only where
+    # _holds(..., False) failed.  Stops once all three have one.
     proper = odd = cf = None
     for v, nbrs in enumerate(g.adjacency):
         if nbrs:
@@ -115,10 +121,11 @@ def _violations(g: Graph, colours: Sequence[int]) -> dict[Criterion, int | None]
                 counts[c] = counts.get(c, 0) + 1
             if proper is None and colours[v - 1] in counts:
                 proper = v
-            if odd is None and not _holds(counts.values(), True):
-                odd = v
-            if cf is None and not _holds(counts.values(), False):
-                cf = v
+            if not _holds(counts.values(), False):
+                if cf is None:
+                    cf = v
+                if odd is None and not _holds(counts.values(), True):
+                    odd = v
             if proper and odd and cf:
                 break
     return {"proper": proper, "odd": odd, "conflict_free": cf}

@@ -28,14 +28,17 @@ class Family(NamedTuple):
 
 
 def _grid(r: int, c: int, rng: random.Random) -> list[tuple[int, int]]:
+    # Endpoints come from one list, so the graph holds one int object per
+    # vertex rather than a new one per endpoint occurrence.
+    ids = list(range(r * c + 1))
     edges = []
     for i in range(r):
         for j in range(c):
             v = i * c + j + 1  # row-major numbering
             if j + 1 < c:
-                edges.append((v, v + 1))
+                edges.append((ids[v], ids[v + 1]))
             if i + 1 < r:
-                edges.append((v, v + c))
+                edges.append((ids[v], ids[v + c]))
     return edges
 
 

@@ -247,6 +247,13 @@ def test_loaded_graph_holds_one_int_object_per_vertex():
     assert len(set(map(id, chain.from_iterable(g.adjacency)))) == g.n
 
 
+def test_generated_grid_holds_one_int_object_per_vertex():
+    # Its edge builder computes endpoints with arithmetic; each endpoint still
+    # comes from one shared int per vertex.
+    g = generate(GenSpec("grid", (250, 400)))
+    assert len(set(map(id, chain.from_iterable(g.adjacency)))) == g.n
+
+
 @pytest.mark.parametrize(
     "text, cols, fields",
     [

@@ -1,0 +1,54 @@
+"""Outputs at the benchmark's scale, pinned by digest.
+
+The differential tests compare against the reference code at n <= 40.  These
+digests were recorded once at n = 3000 (the corpus workload's graphs and
+strategies) and at 10^5 vertices (the given-order workload's grid), so a
+speed-up that changes an ordering's tie-break, a reach size or a colour at
+scale fails here.
+"""
+
+import hashlib
+
+from cfcolour import (
+    GenSpec,
+    VertexOrdering,
+    degeneracy_order,
+    generate,
+    greedy_cf_colouring,
+    min_backreach_order,
+    records_to_csv,
+    run_corpus,
+    save_colouring,
+    save_ordering,
+)
+
+CORPUS = [
+    GenSpec("grid", (50, 60)),
+    GenSpec("planar3tree", (3000,), seed=1),
+    GenSpec("gnp", (3000, 0.001), seed=1),
+]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_corpus_records_are_pinned():
+    csv_text = records_to_csv(run_corpus(CORPUS, ["degeneracy", "min_backreach", "random(1)"]))
+    stripped = "".join(row.rsplit(",", 1)[0] + "\n" for row in csv_text.splitlines())  # runtime_ms dropped
+    assert sha256(stripped) == "5b63ee6513142878d492617f8f29ffe451fcbf191056277f14fdeb1ba443ca11"
+
+
+def test_corpus_orderings_are_pinned():
+    parts = []
+    for spec in CORPUS:
+        g = generate(spec)
+        ordering, d = degeneracy_order(g)
+        parts += [f"{d}\n", save_ordering(ordering), save_ordering(min_backreach_order(g))]
+    assert sha256("".join(parts)) == "8ca660f4186cace4dfb2587aa6c2f00c46a9b1a4cdd8c9d64e16315b5214a79a"
+
+
+def test_greedy_colouring_of_the_given_order_grid_is_pinned():
+    g = generate(GenSpec("grid", (250, 400)))
+    col = greedy_cf_colouring(g, VertexOrdering.identity(g.n))
+    assert sha256(save_colouring(col)) == "911de389afbbd282595289b102953dae6b55627dea7132f8f4877f267ae882af"
