@@ -6,7 +6,6 @@ import gc
 import json
 from dataclasses import dataclass
 from itertools import islice
-from operator import lt
 from typing import IO, Iterable, Iterator, Literal
 
 # Per format, the prefix of the "n m" header line and the tag of each edge row.
@@ -60,17 +59,18 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list.
+    """Build a Graph from an edge list, read once, so it may be an iterator.
 
     Rejects out-of-range endpoints and self-loops, naming the first such edge
     in the list, and then duplicate edges ((u,v) and (v,u) are one edge),
     naming the smallest duplicate pair: u is the first vertex whose sorted
     adjacency repeats a neighbour, v the smallest neighbour it repeats.
 
-    A list that strictly increases with 1 <= u < v <= n, as :func:`save_graph`
-    writes it and most generators make it, is checked in bulk: the appends
-    alone then leave each adjacency sorted, lower neighbours first, and free
-    of repeats, so it skips the per-edge checks, the sort and the scan.
+    Each edge is checked and appended as it is read, and the loop tracks
+    whether the list so far strictly increases with 1 <= u < v <= n, as
+    :func:`save_graph` writes it and most generators make it.  Such a list
+    leaves each adjacency sorted, lower neighbours first, and free of repeats;
+    any other list then gets the per-vertex sort and duplicate scan.
 
     The cyclic garbage collector is paused for the build and then restored to
     the state it was found in, also when the build raises: the state is
@@ -85,31 +85,28 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if not isinstance(edges, list):  # a copy of 10^6 edges costs RSS and build time
-            edges = list(edges)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        if not edges or (
-            all(map(lt, edges, islice(edges, 1, None)))
-            and edges[0][0] >= 1 and all(u < v <= n for u, v in edges)
-        ):
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            return Graph(n=n, adjacency=tuple(map(tuple, adj)))
+        ordered, lu, lv = True, 0, 0
         for u, v in edges:
-            if not (1 <= u <= n):
-                raise ValueError(f"edge ({u},{v}): endpoint {u} out of range 1..{n}")
-            if not (1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}): endpoint {v} out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"edge ({u},{v}): self-loop")
+            if not 0 < u < v <= n:
+                if not (1 <= u <= n):
+                    raise ValueError(f"edge ({u},{v}): endpoint {u} out of range 1..{n}")
+                if not (1 <= v <= n):
+                    raise ValueError(f"edge ({u},{v}): endpoint {v} out of range 1..{n}")
+                if u == v:
+                    raise ValueError(f"edge ({u},{v}): self-loop")
+                ordered = False
+            elif ordered and not (lu < u or lu == u and lv < v):
+                ordered = False
+            lu, lv = u, v
             adj[u].append(v)
             adj[v].append(u)
-        for u, a in enumerate(adj):
-            a.sort()
-            if len(set(a)) < len(a):
-                v = next(v for v, w in zip(a, a[1:]) if v == w)
-                raise ValueError(f"duplicate edge {(u, v)}")
+        if not ordered:
+            for u, a in enumerate(adj):
+                a.sort()
+                if len(set(a)) < len(a):
+                    v = next(v for v, w in zip(a, a[1:]) if v == w)
+                    raise ValueError(f"duplicate edge {(u, v)}")
         return Graph(n=n, adjacency=tuple(map(tuple, adj)))
     finally:
         if collecting:

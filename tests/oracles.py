@@ -1,10 +1,12 @@
 """Brute-force oracles, kept deliberately literal and independent of the
 library's search strategies."""
 
+import gc
 import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
+from operator import lt
 from typing import IO, Callable, Iterable, Literal, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
@@ -522,6 +524,67 @@ def reference_build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n=n, adjacency=tuple(tuple(sorted(a)) for a in adj))
+
+
+# Graph building before the one-pass builder: a strictly increasing list was
+# copied and checked in bulk, then only appended; any other list took a second
+# loop with per-edge checks, then the per-vertex sort and duplicate scan.
+# Verbatim.
+def reference_two_path_build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from an edge list.
+
+    Rejects out-of-range endpoints and self-loops, naming the first such edge
+    in the list, and then duplicate edges ((u,v) and (v,u) are one edge),
+    naming the smallest duplicate pair: u is the first vertex whose sorted
+    adjacency repeats a neighbour, v the smallest neighbour it repeats.
+
+    A list that strictly increases with 1 <= u < v <= n, as :func:`save_graph`
+    writes it and most generators make it, is checked in bulk: the appends
+    alone then leave each adjacency sorted, lower neighbours first, and free
+    of repeats, so it skips the per-edge checks, the sort and the scan.
+
+    The cyclic garbage collector is paused for the build and then restored to
+    the state it was found in, also when the build raises: the state is
+    process-wide, so a caller that had it off keeps it off.  The build makes
+    no cycles, but its fresh lists and tuples set off collections that each
+    walk all of them again: more than half the time of a 10^5-vertex build.
+    """
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if reason := size_error(n, 0):
+        raise ValueError(reason)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if not isinstance(edges, list):  # a copy of 10^6 edges costs RSS and build time
+            edges = list(edges)
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        if not edges or (
+            all(map(lt, edges, islice(edges, 1, None)))
+            and edges[0][0] >= 1 and all(u < v <= n for u, v in edges)
+        ):
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            return Graph(n=n, adjacency=tuple(map(tuple, adj)))
+        for u, v in edges:
+            if not (1 <= u <= n):
+                raise ValueError(f"edge ({u},{v}): endpoint {u} out of range 1..{n}")
+            if not (1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}): endpoint {v} out of range 1..{n}")
+            if u == v:
+                raise ValueError(f"edge ({u},{v}): self-loop")
+            adj[u].append(v)
+            adj[v].append(u)
+        for u, a in enumerate(adj):
+            a.sort()
+            if len(set(a)) < len(a):
+                v = next(v for v, w in zip(a, a[1:]) if v == w)
+                raise ValueError(f"duplicate edge {(u, v)}")
+        return Graph(n=n, adjacency=tuple(map(tuple, adj)))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def reference_save_graph(g: Graph, fmt: str = "edgelist") -> str:

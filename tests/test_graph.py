@@ -1,6 +1,8 @@
 import gc
 import io
+import random
 import re
+import sys
 import tracemalloc
 from itertools import chain, combinations
 
@@ -20,6 +22,7 @@ from cfcolour import (
     save_graph,
     save_ordering,
 )
+from cfcolour.generators import TABLE
 from cfcolour.graph import MAX_VERTICES, whole_ints
 
 
@@ -54,11 +57,42 @@ def test_build_edge_order_irrelevant():
                      id="edges4-smallest duplicate edge (1, 2)"),
         pytest.param(4, [(1, 4), (1, 2), (4, 1), (2, 1)], "duplicate edge (1, 2)",
                      id="edges5-smallest duplicate edge (1, 2) at one vertex"),
+        # A repeat in increasing order: the order test must be strict.
+        pytest.param(3, [(1, 2), (1, 2)], "duplicate edge (1, 2)", id="edges6-repeat in order"),
+        # A range fault or self-loop is named before an earlier duplicate.
+        pytest.param(3, [(1, 2), (2, 1), (1, 9)], "edge (1,9): endpoint 9 out of range 1..3",
+                     id="edges7-range fault after a duplicate"),
+        pytest.param(3, [(1, 2), (2, 1), (3, 3)], "edge (3,3): self-loop", id="edges8-self-loop after a duplicate"),
     ],
 )
 def test_build_rejects_bad_edges(n, edges, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         build_graph(n, edges)
+
+
+@pytest.mark.parametrize("wrap", [list, iter], ids=["list", "iterator"])
+def test_build_takes_a_list_or_a_one_shot_iterator(wrap):
+    assert build_graph(3, wrap([(1, 2), (3, 2)])) == build_graph(3, [(1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("family, params", [("planar3tree", (20000,)), ("grid", (100, 200))])
+def test_build_graph_keeps_no_copy_of_the_edges(family, params):
+    # The endpoint lists in the order the family emits them: planar3tree's do
+    # not increase, grid's do.  The graph's size is summed with getsizeof: the
+    # traced memory it keeps drops when freed tuples are reused.  Measured on
+    # Python 3.11, the one pass peaks at 1.8-2.3x that size, and a copy of the
+    # edge list, one tuple per edge, at 3.7-4.3x.
+    want = generate(GenSpec(family, params, 1))
+    us, vs = map(list, zip(*TABLE[family].edges(*params, random.Random(1))))
+    tracemalloc.start()
+    try:
+        g = build_graph(want.n, zip(us, vs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == want
+    kept = sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, g.adjacency))
+    assert peak < 3 * kept, peak / kept
 
 
 @pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
@@ -212,7 +246,7 @@ def load_error_and_peak(text, fmt):
 
 def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     # Traced peaks over the length of the text read or written, measured on
-    # Python 3.11: about 16.5x for load_graph, 8x for save_graph, 15x for
+    # Python 3.11: about 10.5x for load_graph, 8x for save_graph, 15x for
     # load_ordering and 12.5x for load_colouring.  Split into rows (a text
     # with a comment line), the three loads reach 25x, 21x and 21x; an edge
     # list and a line list in save_graph push it further still.  The graph that
