@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import IO, Iterable, Iterator, Literal
 
 # Per format, the prefix of the "n m" header line and the tag of each edge row.
@@ -198,29 +198,22 @@ class DataLines:
     def ints(self, kind: str, shape: str, stop: int | None = None, tags: int = 0) -> list[int]:
         """The int fields of the data lines, flat and in order.
 
-        Rows not yet parsed, up to ``stop``, are parsed first.  Each must have
-        the words of ``shape``: ``tags`` tags, which the caller checks, then
-        int fields.  The first that does not is named as a malformed ``kind``.
+        Rows not yet parsed, up to ``stop``, are parsed first, each once.  Each
+        must have the words of ``shape``: ``tags`` tags, which the caller
+        checks, then int fields.  The first that does not is named as a
+        malformed ``kind`` by the parse itself, which counts the rows it reads.
         So a header can be checked before the body is parsed."""
         if self.rows is None:
             return self.fields
         width = shape.count(" ") + 1
-
-        def parse(rows: list[str]) -> list[int]:
-            # A row of another width hands int() an empty word, which it refuses.
-            return [int(word) for words in map(str.split, rows)
-                    for word in (words[tags:] if len(words) == width else [""])]
-
-        rows = self.rows[self.parsed:stop]
+        rows, seen = self.rows[self.parsed:stop], count(self.parsed)
         try:
-            self.fields += parse(rows)
+            # A row of another width hands int() an empty word, which it refuses.
+            self.fields += [int(word) for words, _ in zip(map(str.split, rows), seen)
+                            for word in (words[tags:] if len(words) == width else [""])]
         except ValueError:
-            for i, row in enumerate(rows, self.parsed):
-                try:
-                    parse([row])
-                except ValueError:
-                    raise self.error(i, f"malformed {kind} {row!r}", shape) from None
-            raise
+            i = next(seen) - 1  # zip drew the bad row's index just before its words
+            raise self.error(i, f"malformed {kind} {self.rows[i]!r}", shape) from None
         self.parsed += len(rows)
         return self.fields
 

@@ -362,7 +362,12 @@ def mutate(text, kind, mutation, data):
         )
     elif mutation == "self-loop":
         fields[-1] = fields[tags]
-    if mutation in ("leading zero", "plus", "negative vertex", "reversed line", "vertex 0 or n+1", "self-loop"):
+    elif mutation == "non-integer field":
+        fields[data.draw(st.sampled_from(range(tags, len(fields))))] = "x"
+    elif mutation == "dropped field":
+        del fields[-1]
+    if mutation in ("leading zero", "plus", "negative vertex", "reversed line", "vertex 0 or n+1", "self-loop",
+                    "non-integer field", "dropped field"):
         lines[i] = " ".join(fields)
     return "".join(line + "\n" for line in lines)
 
@@ -371,6 +376,7 @@ MUTATIONS = [
     "leading zero", "plus", "negative vertex", "tab", "double space", "trailing space", "crlf",
     "no final newline", "blank line", "comment line", "swapped lines", "reversed line",
     "duplicated line", "dropped line", "count off by one", "vertex 0 or n+1", "self-loop",
+    "non-integer field", "dropped field",
 ]
 
 

@@ -59,6 +59,18 @@ def test_ordering_file_round_trip():
     assert save_ordering(o) == "4\n1\n3\n2\n"
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("1\n2\nx\n", "ordering file: malformed line 'x' at line 3, expected 'v'"),
+        ("2\n# c\n1 2\n2\n", "ordering file: malformed line '1 2' at line 3, expected 'v'"),
+    ],
+)
+def test_ordering_file_errors(text, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        load_ordering(text)
+
+
 def test_make_ordering_strategies():
     g = path(5)
     assert make_ordering(g, "identity").seq == (1, 2, 3, 4, 5)
