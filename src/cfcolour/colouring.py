@@ -42,11 +42,6 @@ class Colouring:
     def used(self) -> int:
         return len(set(self.colours))
 
-    def of(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return self.colours[v - 1]
-
 
 @dataclass(frozen=True)
 class Verdict:

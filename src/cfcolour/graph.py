@@ -39,17 +39,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbours(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbours(u)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in self.vertices:

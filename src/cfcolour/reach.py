@@ -21,8 +21,8 @@ from .graph import DataLines, Graph
 class VertexOrdering:
     """A total order on vertices 1..n; ``seq[i]`` is the vertex at position i+1.
 
-    ``pos[v]`` is the 1-based position of v (``pos[0]`` is unused): the plain
-    position array that hot loops index without range checks.
+    ``pos[v]`` is the 1-based position of v (``pos[0]`` is unused; position 1
+    is leftmost).  It is the one way to read a position, with no range check.
     """
 
     seq: tuple[int, ...]
@@ -40,16 +40,6 @@ class VertexOrdering:
     @property
     def n(self) -> int:
         return len(self.seq)
-
-    def position(self, v: int) -> int:
-        """1-based position of v; position 1 is leftmost."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return self.pos[v]
-
-    def precedes(self, u: int, v: int) -> bool:
-        """True when u is at or before v in the order."""
-        return self.position(u) <= self.position(v)
 
     @classmethod
     def identity(cls, n: int) -> VertexOrdering:
@@ -129,7 +119,8 @@ def reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[in
     any walk found this way shortcuts to a qualifying path.
     """
     _check_args(g, ordering, radius)
-    ordering.position(v)  # range check
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex {v} out of range 1..{g.n}")
     return _reach(g.adjacency, ordering.pos, v, radius)
 
 

@@ -18,13 +18,13 @@ from cfcolour.reach import _reach
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
     """Reach set by enumerating every simple path from v of length <= radius
     and testing the endpoint/interior order conditions on each one."""
-    pv = ordering.position(v)
+    pv = ordering.pos[v]
     found: set[int] = set()
 
     def walk(path: list[int]) -> None:
         end = path[-1]
-        if ordering.position(end) <= pv and all(
-            ordering.position(x) > pv for x in path[1:-1]
+        if ordering.pos[end] <= pv and all(
+            ordering.pos[x] > pv for x in path[1:-1]
         ):
             found.add(end)
         if len(path) - 1 < radius:
@@ -99,11 +99,12 @@ def all_graphs(n: int):
 # --- differential references -------------------------------------------------
 # Earlier library implementations, kept verbatim in spirit so that the current
 # code can be checked against them output for output.
+# Only the accessors changed: ordering.pos[v] and len(g.adjacency[v]).
 
 
 def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
     """Reach set by the seen-set BFS that expands only v and vertices after v."""
-    pv = ordering.position(v)
+    pv = ordering.pos[v]
     seen = {v}
     collected = {v}
     frontier = [v]
@@ -114,7 +115,7 @@ def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int)
                 if w in seen:
                     continue
                 seen.add(w)
-                if ordering.position(w) <= pv:
+                if ordering.pos[w] <= pv:
                     collected.add(w)
                 else:
                     nxt.append(w)
@@ -133,7 +134,7 @@ def reference_degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
     returned ordering is the reverse of the removal sequence, so every vertex
     has at most d neighbours before it.
     """
-    degree = {v: g.degree(v) for v in g.vertices}
+    degree = {v: len(g.adjacency[v]) for v in g.vertices}
     removed: list[int] = []
     alive = set(g.vertices)
     d = 0
@@ -165,7 +166,7 @@ def _cost_given_right(g: Graph, v: int, right: set[int]) -> int:
 def reference_min_backreach_order(g: Graph) -> VertexOrdering:
     """Right-to-left min-back-reach placement with the closed-form radius-2 cost."""
     right: set[int] = set()
-    cost = {v: 1 + g.degree(v) for v in g.vertices}
+    cost = {v: 1 + len(g.adjacency[v]) for v in g.vertices}
     placed_rtl: list[int] = []
     remaining = set(g.vertices)
     while remaining:
@@ -189,14 +190,14 @@ def reference_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouri
     r = max(reference_profile_sizes(g, ordering, 2).values())
     palette = max(1, 2 * r - 1)
     leftmost = {
-        u: min(g.adjacency[u], key=ordering.position) if g.adjacency[u] else None
+        u: min(g.adjacency[u], key=ordering.pos.__getitem__) if g.adjacency[u] else None
         for u in g.vertices
     }
     colour_of: dict[int, int] = {}
     for i, v in enumerate(ordering.seq, start=1):
         blocked = {colour_of[w] for w in reference_reach_set(g, ordering, v, 2) if w != v}
         for u in g.adjacency[v]:
-            if ordering.position(u) < i:
+            if ordering.pos[u] < i:
                 pi = leftmost[u]
                 if pi != v:
                     blocked.add(colour_of[pi])
@@ -269,6 +270,7 @@ def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, V
 
 # The validators as they were before the single pass: an edge loop for
 # proper, and one Counter per neighbourhood and criterion for the others.
+# Only the accessors changed: col.colours[v - 1].
 def _holds(colours: Iterable[int], odd: bool) -> bool:
     # The odd or conflict-free condition on the colours of one neighbourhood.
     counts = Counter(colours).values()
@@ -296,11 +298,11 @@ def reference_verify_colouring(g: Graph, col: Colouring, criterion: Criterion) -
         raise ValueError(f"colouring covers {col.n} vertices, graph has {g.n}")
     if criterion == "proper":
         for u, v in g.edges():
-            if col.of(u) == col.of(v):
+            if col.colours[u - 1] == col.colours[v - 1]:
                 return Verdict(
                     ok=False,
                     witness=u,
-                    detail=f"edge ({u},{v}) is monochromatic in colour {col.of(u)}",
+                    detail=f"edge ({u},{v}) is monochromatic in colour {col.colours[u - 1]}",
                 )
         return Verdict(ok=True, witness=None, detail="no monochromatic edge")
     if criterion not in ("odd", "conflict_free"):

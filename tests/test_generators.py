@@ -22,7 +22,7 @@ from oracles import reference_generate, reference_graph_id, reference_validate_p
 
 
 def degrees(g):
-    return [g.degree(v) for v in g.vertices]
+    return [len(g.adjacency[v]) for v in g.vertices]
 
 
 def test_path_contract():
@@ -53,14 +53,14 @@ def test_complete_contract():
 def test_star_centre_is_vertex_one():
     g = generate(GenSpec("star", (3,)))
     assert (g.n, g.m) == (4, 3)
-    assert g.degree(1) == 3
+    assert len(g.adjacency[1]) == 3
     assert all(g.adjacency[v] == (1,) for v in (2, 3, 4))
 
 
 def test_complete_bipartite_contract():
     g = generate(GenSpec("complete_bipartite", (2, 3)))
     assert (g.n, g.m) == (5, 6)
-    assert all(not g.has_edge(u, v) for u, v in [(1, 2), (3, 4), (3, 5), (4, 5)])
+    assert all(v not in g.adjacency[u] for u, v in [(1, 2), (3, 4), (3, 5), (4, 5)])
 
 
 def test_grid_row_major():
@@ -68,8 +68,8 @@ def test_grid_row_major():
     # 1 2 3
     # 4 5 6
     assert (g.n, g.m) == (6, 7)
-    assert g.has_edge(1, 2) and g.has_edge(1, 4) and g.has_edge(5, 6)
-    assert not g.has_edge(3, 4)
+    assert 2 in g.adjacency[1] and 4 in g.adjacency[1] and 6 in g.adjacency[5]
+    assert 4 not in g.adjacency[3]
 
 
 def test_gnp_deterministic_per_seed():

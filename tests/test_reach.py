@@ -42,8 +42,7 @@ def star(m):
 
 def test_ordering_positions():
     o = VertexOrdering((3, 1, 2))
-    assert [o.position(v) for v in (1, 2, 3)] == [2, 3, 1]
-    assert o.precedes(3, 1) and not o.precedes(2, 1)
+    assert o.pos[1:] == (2, 3, 1)
 
 
 def test_ordering_rejects_non_permutation():
@@ -116,6 +115,9 @@ def test_reach_rejects_bad_arguments():
         reach_set(g, o, 1, 0)
     with pytest.raises(ValueError, match="out of range"):
         reach_set(g, o, 9, 1)
+    for v in (0, -1):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range 1..3$"):
+            reach_set(g, o, v, 1)
     with pytest.raises(ValueError, match="ordering covers"):
         reach_set(g, VertexOrdering.identity(4), 1, 1)
 
@@ -261,9 +263,9 @@ def test_reach_basics(t):
     for v in g.vertices:
         r = reach_set(g, ordering, v, s)
         assert v in r
-        assert all(ordering.precedes(w, v) for w in r)
+        assert all(ordering.pos[w] <= ordering.pos[v] for w in r)
         assert r <= reach_set(g, ordering, v, s + 1)
-        left_nbrs = {w for w in g.adjacency[v] if ordering.position(w) < ordering.position(v)}
+        left_nbrs = {w for w in g.adjacency[v] if ordering.pos[w] < ordering.pos[v]}
         assert reach_set(g, ordering, v, 1) == {v} | left_nbrs
 
 
