@@ -7,7 +7,7 @@ import io
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .colouring import _violations, exact_chromatic, greedy_cf_colouring
 from .generators import GenSpec, generate, parse_genspec
@@ -76,8 +76,7 @@ def _resolve(item: GenSpec | str | Path) -> tuple[str, str, Graph]:
     path = Path(item)
     fmt = "dimacs" if path.suffix == ".col" else "edgelist"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return str(item), "file", load_graph(fh, fmt)
+        return str(item), "file", load_graph(path.read_text(encoding="utf-8"), fmt)
     except (OSError, ValueError) as err:
         raise ValueError(f"{item}: {err}") from err
 
@@ -136,10 +135,10 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
     return buf.getvalue()
 
 
-def load_corpus(source: str | bytes | IO) -> list[GenSpec | str]:
-    """Read a corpus file: one generator spec (``family(args)``) or graph file
-    path per line; '#' lines are comments."""
-    lines = DataLines("corpus", source)
+def load_corpus(text: str) -> list[GenSpec | str]:
+    """Read a corpus file's text: one generator spec (``family(args)``) or
+    graph file path per line; '#' lines are comments."""
+    lines = DataLines("corpus", text)
     items: list[GenSpec | str] = []
     for i, ln in enumerate(lines.rows):
         if "(" in ln and ln.endswith(")"):

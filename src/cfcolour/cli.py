@@ -106,7 +106,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _write(args.output, records_to_csv(records))
     failed = any(
         not (r.proper_ok and r.odd_ok and r.cf_ok)
-        or (r.m > 0 and r.colours_used > r.bound_thm1)
+        or r.colours_used > r.bound_thm1
         for r in records
     )
     return 1 if failed else 0

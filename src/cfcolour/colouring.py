@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import IO, Collection, Literal, Sequence
+from typing import Collection, Literal, Sequence
 
 from .graph import DataLines, Graph
 from .reach import VertexOrdering, _check_args, _check_limit, _reach
@@ -200,12 +200,13 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
     raise AssertionError("a colouring with n distinct colours always satisfies every variant")
 
 
-def load_colouring(source: str | bytes | IO) -> Colouring:
-    """Read a colouring file: header "n c", then n lines "v colour".
+def load_colouring(text: str) -> Colouring:
+    """Read a colouring file's text: header "n c", then n lines "v colour",
+    one per vertex in any order; a vertex out of range or listed twice is an error.
 
     A file in the shape :func:`save_colouring` writes is read in one pass (see
     :class:`~cfcolour.graph.DataLines`)."""
-    lines = DataLines("colouring file", source, cols=2)
+    lines = DataLines("colouring file", text, cols=2)
     if not lines.count:
         raise ValueError("colouring file: missing 'n c' header line")
     n, c = lines.ints("header", "n c", 1)[:2]
@@ -213,8 +214,6 @@ def load_colouring(source: str | bytes | IO) -> Colouring:
     if lines.count - 1 != n:
         raise ValueError(f"colouring file: header declares {n} vertices, body has {lines.count - 1} lines")
     fields = lines.ints("line", "v colour")
-    if fields[2::2] == list(range(1, n + 1)):  # vertices in order, as written
-        return Colouring(colours=tuple(fields[3::2]), palette=c)
     colours: list[int | None] = [None] * n
     for v, colour in zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)):
         if not 1 <= v <= n:

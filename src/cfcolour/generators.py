@@ -195,6 +195,8 @@ def parse_genspec(text: str) -> GenSpec:
     params: list[int | float] = []
     seed = 0
     args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
+    if sum(arg.startswith("seed=") for arg in args) > 1:
+        raise ValueError(f"malformed generator spec {text!r}: seed given twice")
     for arg in args:
         try:
             if arg.startswith("seed="):

@@ -6,7 +6,7 @@ import gc
 import json
 from dataclasses import dataclass
 from itertools import count, islice
-from typing import IO, Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 # Per format, the prefix of the "n m" header line and the tag of each edge row.
 _TEXT_TAGS = {"edgelist": ("", ""), "dimacs": ("p edge ", "e ")}
@@ -112,16 +112,6 @@ def size_error(n: int, m: int, counts: str = "edge") -> str | None:
     return None
 
 
-def read_text(source: str | bytes | IO) -> str:
-    """Decode text, UTF-8 bytes, or a readable text or binary stream."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
-
-
 # Deleting every digit from a text in the shape the package writes leaves
 # cols - 1 spaces and a newline per line; the spaces and newlines then become
 # the commas of one JSON array.
@@ -151,8 +141,8 @@ def whole_ints(text: str, cols: int) -> list[int] | None:
 
 
 class DataLines:
-    """The data lines of a text in one of the package's file formats, read as
-    one flat list of int fields.
+    """The data lines of a file's text, a str, in one of the package's file
+    formats, read as one flat list of int fields.
 
     A text in the shape the package writes, ``cols`` runs of digits a line,
     is read in one pass by :func:`whole_ints`, and ``rows`` is None.  Any
@@ -162,10 +152,10 @@ class DataLines:
     Line numbers are counted again only to report an error.
     """
 
-    def __init__(self, fmt: str, source: str | bytes | IO, comment: Literal["#", "c"] = "#", cols: int = 0):
+    def __init__(self, fmt: str, text: str, comment: Literal["#", "c"] = "#", cols: int = 0):
         self.fmt = fmt
         self.comment = comment
-        self.text = read_text(source)
+        self.text = text
         self.fields = whole_ints(self.text, cols) if cols else None
         if self.fields is None:
             self.rows, self.fields = self.data_rows(), []
@@ -207,22 +197,22 @@ class DataLines:
         return self.fields
 
 
-def load_graph(source: str | bytes | IO, fmt: str = "edgelist") -> Graph:
-    """Parse a graph from text, bytes, or a readable stream.
+def load_graph(text: str, fmt: str = "edgelist") -> Graph:
+    """Parse a graph from the text of an edgelist or DIMACS file.
 
     An edgelist in the shape :func:`save_graph` writes is read in one pass
     (see :class:`DataLines`), and its fields past the header are mapped to one
     shared int per vertex, so the adjacency holds one int object per vertex
     rather than one per entry.  A DIMACS text is always read line by line."""
     if fmt == "edgelist":
-        lines = DataLines(fmt, source, cols=2)
+        lines = DataLines(fmt, text, cols=2)
         if not lines.count:
             raise ValueError("edgelist: missing 'n m' header line")
         n, m = lines.ints("header", "n m", 1)[:2]
         declared = f"header declares {m} edges but body has {lines.count - 1} lines"
         edge_shape, tags = "u v", 0
     elif fmt == "dimacs":
-        lines = DataLines(fmt, source, comment="c")
+        lines = DataLines(fmt, text, comment="c")
         if not lines.rows:
             raise ValueError("dimacs: missing 'p edge n m' line")
         for i, row in enumerate(lines.rows):

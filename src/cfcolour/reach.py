@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graph import DataLines, Graph
 
@@ -316,12 +316,12 @@ def make_ordering(g: Graph, strategy: str) -> VertexOrdering:
     raise ValueError(f"unknown ordering strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
-def load_ordering(source: str | bytes | IO) -> VertexOrdering:
-    """Read an ordering file: one 1-based vertex id per line, top line first.
+def load_ordering(text: str) -> VertexOrdering:
+    """Read an ordering file's text: one 1-based vertex id per line, top line first.
 
     A file in the shape :func:`save_ordering` writes is read in one pass (see
     :class:`~cfcolour.graph.DataLines`)."""
-    return VertexOrdering(tuple(DataLines("ordering file", source, cols=1).ints("line", "v")))
+    return VertexOrdering(tuple(DataLines("ordering file", text, cols=1).ints("line", "v")))
 
 
 def save_ordering(ordering: VertexOrdering) -> str:

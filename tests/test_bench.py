@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,14 +72,14 @@ def test_run_corpus_record_invariants():
         GenSpec("star", (4,)),
         GenSpec("gnp", (8, 0.4), seed=3),
         GenSpec("planar3tree", (12,), seed=1),
+        GenSpec("gnp", (5, 0.0)),  # edgeless: r2 = 1, so one colour and a bound of 1
     ]
     strategies = ["identity", "reverse", "random(9)", "degeneracy", "min_backreach"]
     records = run_corpus(specs, strategies, exact_up_to=6)
     assert len(records) == len(specs) * len(strategies)
     for rec in records:
         assert rec.cf_ok and rec.odd_ok and rec.proper_ok
-        if rec.m > 0:
-            assert rec.colours_used <= rec.bound_thm1
+        assert rec.colours_used <= rec.bound_thm1
         if rec.exact_cf is not None:
             assert rec.exact_cf <= rec.colours_used
 
@@ -96,6 +97,10 @@ def test_run_corpus_file_errors_carry_context(tmp_path):
     missing = tmp_path / "nope.el"
     with pytest.raises(ValueError, match="nope.el"):
         run_corpus([str(missing)], ["identity"])
+    undecodable = tmp_path / "latin1.el"
+    undecodable.write_bytes(b"3 1\n1 \xff\n")
+    with pytest.raises(ValueError, match=re.escape(f"{undecodable}: 'utf-8' codec can't decode byte 0xff")):
+        run_corpus([str(undecodable)], ["identity"])
 
 
 def test_csv_header_and_shape():

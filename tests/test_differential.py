@@ -411,4 +411,3 @@ def test_written_files_are_read_in_one_pass(written):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DataLines, "data_rows", no_rows)
         assert load(text) == obj
-        assert load(text.encode()) == obj

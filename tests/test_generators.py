@@ -148,6 +148,7 @@ def test_parse_genspec_round_trip():
         "grid(2,1e400)",
         "gnp(1e999,0.3)",
         "gnp(8," + "9" * 400 + ")",
+        "gnp(8,0.3,seed=1,seed=2)",
     ],
 )
 def test_parse_genspec_rejects_garbage(text):

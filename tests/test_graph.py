@@ -1,5 +1,4 @@
 import gc
-import io
 import random
 import re
 import sys
@@ -324,11 +323,6 @@ def test_whole_ints_reads_only_the_written_shape(text, cols, fields):
 def test_build_graph_rejects_too_many_vertices():
     with pytest.raises(ValueError, match="exceeds the limit of 1000000"):
         build_graph(MAX_VERTICES + 1, [])
-
-
-def test_load_accepts_bytes_and_streams():
-    text = "2 1\n1 2\n"
-    assert load_graph(text.encode()) == load_graph(io.StringIO(text))
 
 
 def test_save_k2_edgelist():
