@@ -6,9 +6,9 @@ input errors (a parse error names the file and line), 3 on an internal error
 (any other exception, such as an exhausted greedy palette).
 
 The exact searches are iterative, so no n within ``--limit`` reaches the
-recursion limit.  ``scol --exact`` searches only between degeneracy + 1 and
-the back-reach of the ``min_backreach`` ordering; ``exact`` rejects a colour
-as soon as it completes a neighbourhood that fails the variant.
+recursion limit.  ``scol --exact`` counts up from degeneracy + 1 to the first
+value that has an ordering, and profiles that ordering; ``exact`` rejects a
+colour as soon as it completes a neighbourhood that fails the variant.
 """
 
 from __future__ import annotations
@@ -59,11 +59,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_scol(args: argparse.Namespace) -> int:
     g = _load(args.graph, load_graph, args.format)
-    if args.exact:
-        value, _ = exact_scol(g, args.s, limit=args.limit)
-        print(value)
-        return 0
-    profile = back_reach_profile(g, _ordering_for(args, g), args.s)
+    # The exact witness's back-reach is the exact value.
+    ordering = exact_scol(g, args.s, limit=args.limit)[1] if args.exact else _ordering_for(args, g)
+    profile = back_reach_profile(g, ordering, args.s)
     print(profile.max)
     if args.verbose:
         for v in sorted(profile.sizes):

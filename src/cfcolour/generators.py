@@ -192,20 +192,16 @@ def parse_genspec(text: str) -> GenSpec:
     if not m:
         raise ValueError(f"malformed generator spec {text!r}, expected 'family(args)'")
     family, argstr = m.group(1), m.group(2)
-    params: list[int | float] = []
-    seed = 0
-    args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
-    if sum(arg.startswith("seed=") for arg in args) > 1:
+    args = [a.strip() for a in argstr.split(",")]  # [""] for "f()", which parse_params reads as ()
+    seeds = [a for a in args if a.startswith("seed=")]
+    if len(seeds) > 1:
         raise ValueError(f"malformed generator spec {text!r}: seed given twice")
-    for arg in args:
-        try:
-            if arg.startswith("seed="):
-                seed = int(arg[len("seed="):])
-            else:
-                params.append(_number(arg))
-        except ValueError:
-            raise ValueError(f"malformed generator spec {text!r}: {arg!r} is not a number") from None
     try:
-        return GenSpec(family=family, params=tuple(params), seed=seed)
+        seed = int(seeds[0][len("seed="):]) if seeds else 0
+    except ValueError:
+        raise ValueError(f"malformed generator spec {text!r}: {seeds[0]!r} is not a number") from None
+    try:
+        params = parse_params(",".join(a for a in args if not a.startswith("seed=")))
+        return GenSpec(family=family, params=params, seed=seed)
     except ValueError as err:
         raise ValueError(f"malformed generator spec {text!r}: {err}") from None

@@ -271,24 +271,20 @@ def _within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) -> list[i
 def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrdering]:
     """Exact s-strong colouring number with a witness ordering.
 
-    The value lies between degeneracy + 1 (which is scol_1, and scol_1 <=
-    scol_s) and the back-reach of ``min_backreach_order``.  Each k from the
-    lower bound up is tested by a depth-first search for an ordering with
-    back-reach at most k; the first k that has one is the value.  When none
-    below the upper bound has, the value is the upper bound and the witness
-    is the ``min_backreach`` ordering.  The witness is one optimal ordering;
-    only the value is unique.
+    The value is at least degeneracy + 1 (which is scol_1, and scol_1 <=
+    scol_s) and at most n.  Each k from ``min(degeneracy + 1, n)`` up (0 for
+    the empty graph) is tested by a depth-first search for an ordering with
+    back-reach at most k; the first k that has one is the value, and the
+    ordering found is the witness.  The witness is one optimal ordering; only
+    the value is unique.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     _check_limit(g, limit)
-    heuristic = min_backreach_order(g)
-    ub = back_reach_profile(g, heuristic, radius).max
-    for k in range(degeneracy_order(g)[1] + 1, ub):
-        placed_rtl = _within(g.adjacency, g.n, radius, k)
-        if placed_rtl is not None:
-            return k, VertexOrdering(tuple(reversed(placed_rtl)))
-    return ub, heuristic
+    k = min(degeneracy_order(g)[1] + 1, g.n)
+    while (placed_rtl := _within(g.adjacency, g.n, radius, k)) is None:
+        k += 1
+    return k, VertexOrdering(tuple(reversed(placed_rtl)))
 
 
 STRATEGIES = ("identity", "reverse", "random", "degeneracy", "min_backreach")

@@ -117,6 +117,12 @@ def test_scol_exact(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.el", GenSpec("cycle", (5,)))
     assert main(["scol", "--graph", graph, "--s", "2", "--exact"]) == 0
     assert capsys.readouterr().out == "3\n"
+    # --verbose adds the exact witness's reach size of each vertex.
+    assert main(["scol", "--graph", graph, "--s", "2", "--exact", "--verbose"]) == 0
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert first == "3"
+    assert [line.split()[0] for line in rest] == ["1", "2", "3", "4", "5"]
+    assert max(int(line.split()[1]) for line in rest) == 3
 
 
 def test_scol_order_file(tmp_path, capsys):

@@ -129,7 +129,7 @@ def test_exact_oracles_match_reference_code(g, radius, variant):
 
 
 # Graphs where degeneracy + 1 < scol_s < the min_backreach back-reach, so the
-# search both rules out some k and finds an ordering below the upper bound.
+# search both rules out some k and finds an ordering better than the heuristic's.
 @pytest.mark.parametrize(
     "spec, radius",
     [
@@ -147,6 +147,19 @@ def test_exact_scol_search_beats_the_heuristic(spec, radius):
     assert degeneracy_order(g)[1] + 1 < value < back_reach_profile(g, min_backreach_order(g), radius).max
     assert value == reference_exact_scol(g, radius, limit=10)[0]
     assert back_reach_profile(g, ordering, radius).max == value
+
+
+def test_exact_scol_searches_without_the_heuristic(monkeypatch):
+    # Every value and witness comes from the search alone.
+    graphs = [generate(GenSpec("cycle", (5,))), generate(GenSpec("gnp", (10, 0.5), 32))]
+    want = [reference_exact_scol(g, 2)[0] for g in graphs]
+
+    def banned(*args):
+        raise AssertionError("exact_scol must not call the min_backreach heuristic")
+
+    monkeypatch.setattr("cfcolour.reach.min_backreach_order", banned)
+    monkeypatch.setattr("cfcolour.reach.back_reach_profile", banned)
+    assert [exact_scol(g, 2)[0] for g in graphs] == want
 
 
 @st.composite

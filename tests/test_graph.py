@@ -194,6 +194,8 @@ def test_load_edgelist_errors(text, fragment):
     [
         ("e 1 2\n", "before 'p edge"),
         ("p edge 2 1\nx 1 2\n", "unknown line prefix"),
+        # Every line's prefix is checked before the size bound.
+        ("p edge 10000000000 0\nx 1 2\n", "dimacs: unknown line prefix 'x' at line 2"),
         ("p edge 2 2\ne 1 2\n", "declares 2 edges"),
         ("p foo 2 1\ne 1 2\n", "malformed problem line"),
         ("p edge 2 1\ne 1 2\np edge 2 1\n", "repeated"),

@@ -211,7 +211,8 @@ def test_min_backreach_sandwiched_by_exact_value():
 
 @pytest.mark.parametrize(
     "g, s, want",
-    [(cycle(5), 2, 3), (star(3), 2, 2), (complete(4), 2, 4), (path(4), 1, 2)],
+    [(cycle(5), 2, 3), (star(3), 2, 2), (complete(4), 2, 4), (path(4), 1, 2)]
+    + [(build_graph(0, []), s, 0) for s in (1, 2, 3)],
 )
 def test_exact_scol_examples(g, s, want):
     value, witness = exact_scol(g, s)
