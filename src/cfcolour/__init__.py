@@ -13,7 +13,6 @@ from .colouring import (
 from .generators import FAMILIES, GenSpec, generate, parse_genspec
 from .graph import Graph, build_graph, load_graph, save_graph
 from .reach import (
-    ReachProfile,
     VertexOrdering,
     back_reach_profile,
     degeneracy_order,
@@ -33,7 +32,6 @@ __all__ = [
     "FAMILIES",
     "GenSpec",
     "Graph",
-    "ReachProfile",
     "Verdict",
     "VertexOrdering",
     "back_reach_profile",

@@ -61,11 +61,11 @@ def _cmd_scol(args: argparse.Namespace) -> int:
     g = _load(args.graph, load_graph, args.format)
     # The exact witness's back-reach is the exact value.
     ordering = exact_scol(g, args.s, limit=args.limit)[1] if args.exact else _ordering_for(args, g)
-    profile = back_reach_profile(g, ordering, args.s)
-    print(profile.max)
+    sizes = back_reach_profile(g, ordering, args.s)
+    print(max(sizes))
     if args.verbose:
-        for v in sorted(profile.sizes):
-            print(f"{v} {profile.sizes[v]}")
+        for v in g.vertices:
+            print(f"{v} {sizes[v]}")
     return 0
 
 
@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_ordering_group(p: argparse.ArgumentParser):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--order", help="ordering file, '-' for stdin")
-        group.add_argument("--strategy", help="identity, reverse, random(seed), degeneracy, min_backreach")
+        group.add_argument(
+            "--strategy", help="identity, reverse, random(seed), random (seed 0), degeneracy, min_backreach"
+        )
         return group
 
     p = sub.add_parser("gen", help="generate a corpus graph")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .graph import DataLines, Graph
 
@@ -54,20 +54,6 @@ class VertexOrdering:
         seq = list(range(1, n + 1))
         random.Random(seed).shuffle(seq)
         return cls(tuple(seq))
-
-
-@dataclass(frozen=True)
-class ReachProfile:
-    """Per-vertex reach-set sizes for one ordering at one radius.
-
-    ``argmax`` is the smallest vertex whose reach set attains ``max``, the
-    witness of the back-reach; it is None for the empty graph.
-    """
-
-    radius: int
-    sizes: Mapping[int, int]
-    max: int
-    argmax: int | None
 
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
@@ -124,14 +110,16 @@ def reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[in
     return _reach(g.adjacency, ordering.pos, v, radius)
 
 
-def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> ReachProfile:
-    """Reach-set sizes of every vertex; ``max`` is the ordering's back-reach."""
+def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple[int, ...]:
+    """Reach-set size of every vertex, indexed like ``g.adjacency``.
+
+    ``sizes[v]`` is the size for v in 1..n and ``sizes[0]`` is 0.  The
+    ordering's back-reach is ``max(sizes)``, and ``sizes.index(max(sizes))``
+    is the smallest vertex attaining it (0 for the empty graph).
+    """
     _check_args(g, ordering, radius)
     adj, pos = g.adjacency, ordering.pos
-    sizes = {v: len(_reach(adj, pos, v, radius)) for v in g.vertices}
-    top = max(sizes.values(), default=0)
-    argmax = next((v for v, size in sizes.items() if size == top), None)
-    return ReachProfile(radius=radius, sizes=sizes, max=top, argmax=argmax)
+    return (0, *[len(_reach(adj, pos, v, radius)) for v in g.vertices])
 
 
 def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:

@@ -67,7 +67,7 @@ def test_criterion_1_greedy_contract_property_suite():
     for i, (gid, g) in enumerate(corpus):
         for strategy in _strategies(i):
             ordering = make_ordering(g, strategy)
-            r2 = back_reach_profile(g, ordering, 2).max
+            r2 = max(back_reach_profile(g, ordering, 2))
             col = greedy_cf_colouring(g, ordering)
             checks += 1
             if col.used > max(1, 2 * r2 - 1) or not all(
@@ -148,7 +148,7 @@ def test_criterion_5_grids_sit_far_below_the_kplanar_constant():
     for rows, cols in ((20, 50), (40, 25)):
         g = generate(GenSpec("grid", (rows, cols)))
         ordering = make_ordering(g, "identity")
-        r2 = back_reach_profile(g, ordering, 2).max
+        r2 = max(back_reach_profile(g, ordering, 2))
         col = greedy_cf_colouring(g, ordering)
         if not (r2 <= 4 and col.used <= 7 < bound("kplanar", 0) == 59):
             failures.append((rows, cols, r2, col.used))

@@ -113,6 +113,16 @@ def test_scol_verbose_lists_sizes(tmp_path, capsys):
     assert capsys.readouterr().out == "3\n1 1\n2 2\n3 2\n4 3\n5 3\n"
 
 
+@pytest.mark.parametrize(
+    "spec, want", [(GenSpec("gnp", (0, 0.5)), "0\n"), (GenSpec("path", (1,)), "1\n1 1\n")], ids=["empty", "path1"]
+)
+def test_scol_verbose_smallest_graphs(tmp_path, capsys, spec, want):
+    # One line per vertex 1..n after the back-reach: none for the empty graph.
+    graph = write_graph(tmp_path, "g.el", spec)
+    assert main(["scol", "--graph", graph, "--s", "2", "--strategy", "identity", "--verbose"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_scol_exact(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.el", GenSpec("cycle", (5,)))
     assert main(["scol", "--graph", graph, "--s", "2", "--exact"]) == 0

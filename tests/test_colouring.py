@@ -265,7 +265,7 @@ def graph_and_ordering(draw, max_n=8):
 def test_greedy_output_is_proper_odd_and_conflict_free(t):
     g, ordering = t
     col = greedy_cf_colouring(g, ordering)
-    r = back_reach_profile(g, ordering, 2).max
+    r = max(back_reach_profile(g, ordering, 2))
     assert col.palette == max(1, 2 * r - 1)
     assert col.used <= col.palette
     for criterion in ("proper", "odd", "conflict_free"):

@@ -126,34 +126,43 @@ def test_reach_rejects_bad_arguments():
 
 
 def test_profile_c5_identity():
-    prof = back_reach_profile(cycle(5), VertexOrdering.identity(5), 2)
-    assert [prof.sizes[v] for v in range(1, 6)] == [1, 2, 2, 3, 3]
-    assert prof.max == 3
+    # Indexed like g.adjacency: slot 0 holds 0, then one size per vertex.
+    sizes = back_reach_profile(cycle(5), VertexOrdering.identity(5), 2)
+    assert sizes == (0, 1, 2, 2, 3, 3)
+    assert max(sizes) == 3
 
 
 def test_profile_argmax_is_smallest_vertex_attaining_max():
     g = cycle(5)
-    assert back_reach_profile(g, VertexOrdering.identity(5), 2).argmax == 4
+    sizes = back_reach_profile(g, VertexOrdering.identity(5), 2)
+    assert sizes.index(max(sizes)) == 4
     # Reversed, vertices 1 and 2 attain the max; 2 comes first in the order.
-    assert back_reach_profile(g, VertexOrdering.reverse(5), 2).argmax == 1
-    prof = back_reach_profile(build_graph(0, []), VertexOrdering(()), 2)
-    assert (prof.max, prof.argmax) == (0, None)
+    sizes = back_reach_profile(g, VertexOrdering.reverse(5), 2)
+    assert sizes.index(max(sizes)) == 1
+    sizes = back_reach_profile(build_graph(0, []), VertexOrdering(()), 2)
+    assert (max(sizes), sizes.index(max(sizes))) == (0, 0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_profile_empty_graph_is_the_sentinel_slot(s):
+    # Slot 0 alone: max() and index() need no default on the empty graph.
+    assert back_reach_profile(build_graph(0, []), VertexOrdering(()), s) == (0,)
 
 
 def test_profile_k4_any_ordering():
     g = complete(4)
     for o in (VertexOrdering.identity(4), VertexOrdering.reverse(4), VertexOrdering((2, 4, 1, 3))):
-        prof = back_reach_profile(g, o, 2)
-        assert [prof.sizes[o.seq[i]] for i in range(4)] == [1, 2, 3, 4]
-        assert prof.max == 4
+        sizes = back_reach_profile(g, o, 2)
+        assert [sizes[o.seq[i]] for i in range(4)] == [1, 2, 3, 4]
+        assert max(sizes) == 4
 
 
 def test_profile_edgeless():
     g = build_graph(4, [])
     for s in (1, 2, 5):
-        prof = back_reach_profile(g, VertexOrdering((3, 1, 4, 2)), s)
-        assert set(prof.sizes.values()) == {1}
-        assert prof.max == 1
+        sizes = back_reach_profile(g, VertexOrdering((3, 1, 4, 2)), s)
+        assert set(sizes[1:]) == {1}
+        assert max(sizes) == 1
 
 
 @pytest.mark.parametrize("g", [path(10), cycle(7)], ids=["path10", "cycle7"])
@@ -165,7 +174,7 @@ def test_profile_huge_radius_stops_on_empty_frontier(g):
         start = time.perf_counter()
         for o in (VertexOrdering.identity(g.n), VertexOrdering.reverse(g.n)):
             huge, at_n = back_reach_profile(g, o, s), back_reach_profile(g, o, g.n)
-            assert (huge.sizes, huge.max, huge.argmax) == (at_n.sizes, at_n.max, at_n.argmax)
+            assert huge == at_n
         assert time.perf_counter() - start < 1.0
 
 
@@ -179,7 +188,7 @@ def test_profile_huge_radius_stops_on_empty_frontier(g):
 def test_degeneracy_examples(g, want_d):
     ordering, d = degeneracy_order(g)
     assert d == want_d
-    assert back_reach_profile(g, ordering, 1).max == d + 1
+    assert max(back_reach_profile(g, ordering, 1)) == d + 1
 
 
 def test_degeneracy_single_vertex():
@@ -196,13 +205,13 @@ def test_degeneracy_single_vertex():
 )
 def test_min_backreach_reaches_known_optimum(g, want_max):
     ordering = min_backreach_order(g)
-    assert back_reach_profile(g, ordering, 2).max == want_max
+    assert max(back_reach_profile(g, ordering, 2)) == want_max
 
 
 def test_min_backreach_sandwiched_by_exact_value():
     for trial in range(10):
         g = generate(GenSpec("gnp", (7, 0.4), seed=trial))
-        heuristic = back_reach_profile(g, min_backreach_order(g), 2).max
+        heuristic = max(back_reach_profile(g, min_backreach_order(g), 2))
         assert exact_scol(g, 2)[0] <= heuristic <= g.n
 
 
@@ -217,7 +226,7 @@ def test_min_backreach_sandwiched_by_exact_value():
 def test_exact_scol_examples(g, s, want):
     value, witness = exact_scol(g, s)
     assert value == want
-    assert back_reach_profile(g, witness, s).max == value
+    assert max(back_reach_profile(g, witness, s)) == value
 
 
 def test_exact_scol_limit():
@@ -273,7 +282,7 @@ def test_reach_basics(t):
 def test_profile_max_nondecreasing_in_radius():
     g = generate(GenSpec("gnp", (8, 0.35), seed=4))
     o = make_ordering(g, "degeneracy")
-    maxima = [back_reach_profile(g, o, s).max for s in (1, 2, 3, 4)]
+    maxima = [max(back_reach_profile(g, o, s)) for s in (1, 2, 3, 4)]
     assert maxima == sorted(maxima)
 
 

@@ -51,7 +51,7 @@ def test_theorem1_contract_at_scale(spec):
     assert elapsed < ORDERER_BOUND_S, f"orderers took {elapsed:.1f}s on n={g.n}"
     for name, ordering in orderings.items():
         col = greedy_cf_colouring(g, ordering)
-        r = back_reach_profile(g, ordering, 2).max
+        r = max(back_reach_profile(g, ordering, 2))
         assert col.palette == 2 * r - 1, name
         assert col.used <= col.palette, name
         for criterion in ("proper", "odd", "conflict_free"):
