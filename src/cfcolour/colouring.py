@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Collection, Literal, Sequence
 
 from .graph import DataLines, Graph
-from .reach import VertexOrdering, _check_args, _check_limit, _reach
+from .reach import VertexOrdering, _check_args, _check_limit
 
 Criterion = Literal["proper", "odd", "conflict_free"]
 CRITERIA = ("proper", "odd", "conflict_free")
@@ -58,10 +58,14 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     for every earlier neighbour, the colour of that neighbour's own leftmost
     neighbour; both blocking sets have at most r - 1 colours, so a free
     colour always exists.  Isolated vertices take the smallest free colour
-    like everyone else.  It is one left-to-right pass: each reach set is
-    computed once, both to block colours and to track r, which gives the
-    palette; and the leftmost neighbour of u is the first of u's neighbours
-    to be coloured, so the pass records it when it colours that neighbour.
+    like everyone else.  It is one left-to-right pass with no search: each
+    uncoloured vertex keeps the list of its neighbours coloured so far, in
+    colouring order.  When v's turn comes, its own list holds its earlier
+    neighbours, and the list of each later neighbour u holds u's neighbours
+    placed before v, so v's reach set is v with those lists; its size tracks
+    r, which gives the palette.  v's leftmost neighbour is the first entry of
+    its own list or, when that list is empty, the first neighbour coloured
+    after v.
     """
     _check_args(g, ordering, 2)
     if g.n == 0:
@@ -69,21 +73,36 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     adj, pos = g.adjacency, ordering.pos
 
     colour_of = [0] * (g.n + 1)
-    first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour, 0 until one is coloured
+    first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour once both are coloured, else 0
+    # coloured[u]: u's coloured neighbours in colouring order, while u is
+    # uncoloured; None until the first of them, and again once u is coloured.
+    coloured: list[list[int] | None] = [None] * (g.n + 1)
     r = 0
     for v in ordering.seq:
-        reach = _reach(adj, pos, v, 2)
+        reach = {v}
+        earlier = coloured[v]
+        if earlier:
+            reach.update(earlier)
+            first[v] = earlier[0]
+            coloured[v] = None
+        blocked = set()
+        pv = pos[v]
+        for u in adj[v]:
+            if pos[u] > pv:
+                later = coloured[u]
+                if later:
+                    reach.update(later)
+                    later.append(v)
+                else:
+                    coloured[u] = [v]
+            elif f := first[u]:
+                blocked.add(colour_of[f])
+            else:
+                first[u] = v  # v is u's leftmost neighbour, and its colour blocks nothing yet
         if len(reach) > r:
             r = len(reach)
         # colour_of[v] is still 0, which blocks no choice.
-        blocked = set(map(colour_of.__getitem__, reach))
-        pv = pos[v]
-        for u in adj[v]:
-            f = first[u]
-            if not f:
-                first[u] = v  # v is u's leftmost neighbour, and its colour blocks nothing yet
-            elif pos[u] < pv:
-                blocked.add(colour_of[f])
+        blocked.update(map(colour_of.__getitem__, reach))
         choice = 1
         while choice in blocked:
             choice += 1

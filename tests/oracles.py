@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Literal, Sequence
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
 from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
-from cfcolour.reach import _reach
+from cfcolour.reach import _check_args, _reach
 
 
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
@@ -203,6 +203,55 @@ def reference_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouri
                     blocked.add(colour_of[pi])
         colour_of[v] = next(c for c in range(1, palette + 1) if c not in blocked)
     return Colouring(colours=tuple(colour_of[v] for v in g.vertices), palette=palette)
+
+
+# The greedy before it kept each uncoloured vertex's coloured neighbours: one
+# reach BFS per vertex, and the leftmost neighbour recorded in the sweep.
+# Verbatim.
+def reference_bfs_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
+    """Colour the vertices left to right so the result is proper and conflict-free.
+
+    With r the ordering's back-reach at radius 2, the palette has 2r - 1
+    colours.  Each vertex avoids the colours of its radius-2 reach set and,
+    for every earlier neighbour, the colour of that neighbour's own leftmost
+    neighbour; both blocking sets have at most r - 1 colours, so a free
+    colour always exists.  Isolated vertices take the smallest free colour
+    like everyone else.  It is one left-to-right pass: each reach set is
+    computed once, both to block colours and to track r, which gives the
+    palette; and the leftmost neighbour of u is the first of u's neighbours
+    to be coloured, so the pass records it when it colours that neighbour.
+    """
+    _check_args(g, ordering, 2)
+    if g.n == 0:
+        return Colouring(colours=(), palette=0)
+    adj, pos = g.adjacency, ordering.pos
+
+    colour_of = [0] * (g.n + 1)
+    first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour, 0 until one is coloured
+    r = 0
+    for v in ordering.seq:
+        reach = _reach(adj, pos, v, 2)
+        if len(reach) > r:
+            r = len(reach)
+        # colour_of[v] is still 0, which blocks no choice.
+        blocked = set(map(colour_of.__getitem__, reach))
+        pv = pos[v]
+        for u in adj[v]:
+            f = first[u]
+            if not f:
+                first[u] = v  # v is u's leftmost neighbour, and its colour blocks nothing yet
+            elif pos[u] < pv:
+                blocked.add(colour_of[f])
+        choice = 1
+        while choice in blocked:
+            choice += 1
+        colour_of[v] = choice
+
+    palette = 2 * r - 1  # n >= 1 and v is in its own reach set, so r >= 1
+    if max(colour_of) > palette:
+        v = colour_of.index(max(colour_of))
+        raise RuntimeError(f"palette of {palette} colours exhausted at vertex {v}; this indicates a bug")
+    return Colouring(colours=tuple(colour_of[1:]), palette=palette)
 
 
 # The exact oracles before they pruned during the search: a memoised

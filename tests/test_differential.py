@@ -25,7 +25,9 @@ from cfcolour import (
     load_colouring,
     load_graph,
     load_ordering,
+    make_ordering,
     min_backreach_order,
+    reach_set,
     save_colouring,
     save_graph,
     save_ordering,
@@ -33,7 +35,9 @@ from cfcolour import (
 )
 from cfcolour.colouring import CRITERIA, _violations
 from cfcolour.graph import DataLines
+from cfcolour.reach import _reach
 from oracles import (
+    reference_bfs_greedy_cf_colouring,
     reference_build_graph,
     reference_degeneracy_order,
     reference_exact_chromatic,
@@ -90,6 +94,11 @@ def hub_heavy_graph(draw, max_n=40):
     return build_graph(n, sorted(edges))
 
 
+corpus_families = pytest.mark.parametrize(
+    "family,params", [("planar3tree", (300,)), ("gnp", (300, 0.02))], ids=["planar3tree", "gnp"]
+)
+
+
 def assert_orderers_match_references(g):
     assert degeneracy_order(g) == reference_degeneracy_order(g)
     assert min_backreach_order(g) == reference_min_backreach_order(g)
@@ -102,11 +111,31 @@ def test_heap_orderers_match_reference_code(g):
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize(
-    "family,params", [("planar3tree", (300,)), ("gnp", (300, 0.02))], ids=["planar3tree", "gnp"]
-)
+@corpus_families
 def test_heap_orderers_match_reference_code_on_corpus_families(family, params, seed):
     assert_orderers_match_references(generate(GenSpec(family, params, seed)))
+
+
+def assert_greedy_matches_references(g, ordering):
+    col = greedy_cf_colouring(g, ordering)
+    assert col == reference_bfs_greedy_cf_colouring(g, ordering)
+    assert col == reference_greedy_cf_colouring(g, ordering)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_heavy_graph(), st.integers(0, 2**32))
+def test_greedy_matches_reference_code(g, seed):
+    # On hubs the kept lists of coloured neighbours grow longest.
+    for ordering in (VertexOrdering.shuffled(g.n, seed), degeneracy_order(g)[0], min_backreach_order(g)):
+        assert_greedy_matches_references(g, ordering)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@corpus_families
+def test_greedy_matches_reference_code_on_corpus_families(family, params, seed):
+    g = generate(GenSpec(family, params, seed))
+    for strategy in ("degeneracy", "min_backreach", f"random({seed})"):
+        assert_greedy_matches_references(g, make_ordering(g, strategy))
 
 
 @st.composite
@@ -161,6 +190,28 @@ def test_exact_scol_searches_without_the_heuristic(monkeypatch):
     monkeypatch.setattr("cfcolour.reach.min_backreach_order", banned)
     monkeypatch.setattr("cfcolour.reach.back_reach_profile", banned)
     assert [exact_scol(g, 2)[0] for g in graphs] == want
+
+
+def test_greedy_colours_without_a_reach_search(monkeypatch):
+    # The greedy reads each reach set off the coloured-neighbour lists it keeps.
+    # Swapping _reach's code object reaches every name bound to it, including
+    # one imported by name.
+    cases = []
+    for spec in (GenSpec("grid", (30, 40)), GenSpec("planar3tree", (500,), seed=1)):
+        g = generate(spec)
+        for strategy in ("identity", "random(1)"):
+            ordering = make_ordering(g, strategy)
+            cases.append((g, ordering, reference_greedy_cf_colouring(g, ordering)))
+
+    def banned(*args):
+        raise AssertionError("greedy_cf_colouring must not run the reach BFS")
+
+    monkeypatch.setattr(_reach, "__code__", banned.__code__)
+    g, ordering, _ = cases[0]
+    with pytest.raises(AssertionError, match="reach BFS"):
+        reach_set(g, ordering, 1, 2)
+    for g, ordering, want in cases:
+        assert greedy_cf_colouring(g, ordering) == want
 
 
 @st.composite
