@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Collection, Literal, Sequence
 
 from .graph import DataLines, Graph
-from .reach import VertexOrdering, _check_args, _check_limit
+from .reach import VertexOrdering, _check_args, _check_limit, _reach2
 
 Criterion = Literal["proper", "odd", "conflict_free"]
 CRITERIA = ("proper", "odd", "conflict_free")
@@ -58,51 +58,31 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     for every earlier neighbour, the colour of that neighbour's own leftmost
     neighbour; both blocking sets have at most r - 1 colours, so a free
     colour always exists.  Isolated vertices take the smallest free colour
-    like everyone else.  It is one left-to-right pass with no search: each
-    uncoloured vertex keeps the list of its neighbours coloured so far, in
-    colouring order.  When v's turn comes, its own list holds its earlier
-    neighbours, and the list of each later neighbour u holds u's neighbours
-    placed before v, so v's reach set is v with those lists; its size tracks
-    r, which gives the palette.  v's leftmost neighbour is the first entry of
-    its own list or, when that list is empty, the first neighbour coloured
-    after v.
+    like everyone else.  The reach sets, and each vertex's earlier neighbours
+    in colouring order, come from one walk with no search
+    (``cfcolour.reach._reach2``); v's leftmost neighbour is its first earlier
+    neighbour or, when it has none, the first neighbour coloured after v.
     """
     _check_args(g, ordering, 2)
     if g.n == 0:
         return Colouring(colours=(), palette=0)
-    adj, pos = g.adjacency, ordering.pos
 
     colour_of = [0] * (g.n + 1)
     first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour once both are coloured, else 0
-    # coloured[u]: u's coloured neighbours in colouring order, while u is
-    # uncoloured; None until the first of them, and again once u is coloured.
-    coloured: list[list[int] | None] = [None] * (g.n + 1)
+    colour = colour_of.__getitem__  # bound once, for the lookups behind each blocked set
     r = 0
-    for v in ordering.seq:
-        reach = {v}
-        earlier = coloured[v]
-        if earlier:
-            reach.update(earlier)
-            first[v] = earlier[0]
-            coloured[v] = None
-        blocked = set()
-        pv = pos[v]
-        for u in adj[v]:
-            if pos[u] > pv:
-                later = coloured[u]
-                if later:
-                    reach.update(later)
-                    later.append(v)
-                else:
-                    coloured[u] = [v]
-            elif f := first[u]:
-                blocked.add(colour_of[f])
-            else:
-                first[u] = v  # v is u's leftmost neighbour, and its colour blocks nothing yet
+    for v, reach, earlier in _reach2(g.adjacency, ordering):
         if len(reach) > r:
             r = len(reach)
         # colour_of[v] is still 0, which blocks no choice.
-        blocked.update(map(colour_of.__getitem__, reach))
+        blocked = set(map(colour, reach))
+        if earlier:
+            first[v] = earlier[0]
+            for u in earlier:
+                if f := first[u]:
+                    blocked.add(colour_of[f])
+                else:
+                    first[u] = v  # v is u's leftmost neighbour, and its colour blocks nothing yet
         choice = 1
         while choice in blocked:
             choice += 1
@@ -221,7 +201,8 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 
 def load_colouring(text: str) -> Colouring:
     """Read a colouring file's text: header "n c", then n lines "v colour",
-    one per vertex in any order; a vertex out of range or listed twice is an error.
+    one per vertex in any order.  A vertex out of range, listed twice, or with
+    a colour outside 1..c is an error naming its line.
 
     A file in the shape :func:`save_colouring` writes is read in one pass (see
     :class:`~cfcolour.graph.DataLines`)."""
@@ -234,13 +215,20 @@ def load_colouring(text: str) -> Colouring:
         raise ValueError(f"colouring file: header declares {n} vertices, body has {lines.count - 1} lines")
     fields = lines.ints("line", "v colour")
     colours: list[int | None] = [None] * n
-    for v, colour in zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)):
+    for i, (v, colour) in enumerate(zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)), 1):
         if not 1 <= v <= n:
-            raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
+            raise lines.error(i, f"vertex {v} out of range 1..{n}")
         if colours[v - 1] is not None:
-            raise ValueError(f"colouring file: vertex {v} listed twice")
+            raise lines.error(i, f"vertex {v} listed twice")
         colours[v - 1] = colour
-    return Colouring(colours=tuple(colours), palette=c)
+    try:
+        return Colouring(colours=tuple(colours), palette=c)
+    except ValueError as err:
+        if c < 0:
+            raise
+        # err names the smallest vertex whose colour is outside 1..c; so does the line.
+        v = next(v for v, colour in enumerate(colours, 1) if not 1 <= colour <= c)
+        raise lines.error(fields[2::2].index(v) + 1, str(err)) from None
 
 
 def save_colouring(col: Colouring) -> str:

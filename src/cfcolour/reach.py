@@ -5,6 +5,10 @@ vertices at or before v that can be hit from v by a path of length at most s
 whose interior detours only through vertices placed strictly after v.  The
 maximum reach-set size over all vertices is the ordering's back-reach; the
 minimum back-reach over all orderings is the s-strong colouring number.
+
+Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
+come from one walk along the ordering (``_reach2``); other radii come from a
+breadth-first search per vertex (``_reach``).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import DataLines, Graph
 
@@ -57,9 +61,10 @@ class VertexOrdering:
 
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
-    # The one reach BFS behind reach_set; w lies after v exactly when
-    # pos[w] > pos[v].  Each vertex after v is expanded at most once, the last
-    # hop only collects, and the search ends early once the frontier is empty.
+    # The one reach BFS, behind reach_set, _within and back_reach_profile at
+    # radii other than 2; w lies after v exactly when pos[w] > pos[v].  Each
+    # vertex after v is expanded at most once, the last hop only collects,
+    # and the search ends early once the frontier is empty.
     pv = pos[v]
     collected = {v}
     frontier = [v]
@@ -81,6 +86,35 @@ def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radiu
             if pos[w] <= pv:
                 collected.add(w)
     return collected
+
+
+def _reach2(
+    adjacency: Sequence[Sequence[int]], ordering: VertexOrdering
+) -> Iterator[tuple[int, set[int], Sequence[int]]]:
+    # The radius-2 reach sets along ordering.seq, with no search: yields
+    # (v, reach, earlier), where earlier lists v's neighbours before it in
+    # that order, or is ().  coloured[u] lists u's neighbours yielded so far
+    # while u is not (None when empty, and once u is yielded).  At v's turn
+    # the list of each later neighbour u holds the ends w of the paths v-u-w
+    # with w before v, so the reach set is v, its own list and those lists.
+    pos = ordering.pos
+    coloured: list[list[int] | None] = [None] * len(adjacency)
+    for v in ordering.seq:
+        reach = {v}
+        earlier = coloured[v] or ()
+        if earlier:
+            reach.update(earlier)
+            coloured[v] = None
+        pv = pos[v]
+        for u in adjacency[v]:
+            if pos[u] > pv:
+                later = coloured[u]
+                if later:
+                    reach.update(later)
+                    later.append(v)
+                else:
+                    coloured[u] = [v]
+        yield v, reach, earlier
 
 
 def _check_args(g: Graph, ordering: VertexOrdering, radius: int) -> None:
@@ -119,6 +153,11 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple
     """
     _check_args(g, ordering, radius)
     adj, pos = g.adjacency, ordering.pos
+    if radius == 2:
+        sizes = [0] * (g.n + 1)
+        for v, reach, _ in _reach2(adj, ordering):
+            sizes[v] = len(reach)
+        return tuple(sizes)
     return (0, *[len(_reach(adj, pos, v, radius)) for v in g.vertices])
 
 
@@ -304,8 +343,20 @@ def load_ordering(text: str) -> VertexOrdering:
     """Read an ordering file's text: one 1-based vertex id per line, top line first.
 
     A file in the shape :func:`save_ordering` writes is read in one pass (see
-    :class:`~cfcolour.graph.DataLines`)."""
-    return VertexOrdering(tuple(DataLines("ordering file", text, cols=1).ints("line", "v")))
+    :class:`~cfcolour.graph.DataLines`).  A file that is not a permutation is
+    an error naming the first line whose vertex is out of range or repeated."""
+    lines = DataLines("ordering file", text, cols=1)
+    seq = tuple(lines.ints("line", "v"))
+    try:
+        return VertexOrdering(seq)
+    except ValueError as err:
+        seen = set()
+        for i, v in enumerate(seq):
+            if v in seen or not 1 <= v <= len(seq):
+                break
+            seen.add(v)
+        why = "listed twice" if v in seen else "out of range"
+        raise lines.error(i, f"{err}: vertex {v} {why}") from None
 
 
 def save_ordering(ordering: VertexOrdering) -> str:

@@ -654,7 +654,9 @@ def reference_save_graph(g: Graph, fmt: str = "edgelist") -> str:
 # path per format, with the line splitter and int conversions they used: each
 # loader read a text in the written shape in one pass and handed any other
 # text to these.  Verbatim.
-# Only the input changed: DataLines takes the text as it is, a str.
+# Only the input changed: DataLines takes the text as it is, a str.  And the
+# ordering and colouring readers name the line of a vertex out of range,
+# repeated, or with a colour outside the palette, as the loaders do.
 def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
     """Rows of two integer fields, such as ``"u v"``, as int pairs."""
     return [(int(a), int(b)) for a, b in map(str.split, rows)]
@@ -734,7 +736,14 @@ def reference_parse_dimacs(source: str) -> Graph:
 
 def reference_parse_ordering(source: str) -> VertexOrdering:
     lines = DataLines("ordering file", source)
-    return VertexOrdering(lines.ints(0, None, "line", "v", lambda rows: tuple(map(int, rows))))
+    seq = lines.ints(0, None, "line", "v", lambda rows: tuple(map(int, rows)))
+    seen = set()
+    for i, v in enumerate(seq):
+        if v in seen or not 1 <= v <= len(seq):
+            why = "listed twice" if v in seen else "out of range"
+            raise lines.error(i, f"ordering is not a permutation of 1..{len(seq)}: vertex {v} {why}")
+        seen.add(v)
+    return VertexOrdering(seq)
 
 
 def reference_parse_colouring(source: str) -> Colouring:
@@ -745,10 +754,15 @@ def reference_parse_colouring(source: str) -> Colouring:
     if len(lines.rows) - 1 != n:
         raise ValueError(f"colouring file: header declares {n} vertices, body has {len(lines.rows) - 1} lines")
     colours: list[int | None] = [None] * n
-    for v, colour in lines.ints(1, None, "line", "v colour", int_pairs):
+    line_of = [0] * (n + 1)
+    for i, (v, colour) in enumerate(lines.ints(1, None, "line", "v colour", int_pairs), 1):
         if not 1 <= v <= n:
-            raise ValueError(f"colouring file: vertex {v} out of range 1..{n}")
+            raise lines.error(i, f"vertex {v} out of range 1..{n}")
         if colours[v - 1] is not None:
-            raise ValueError(f"colouring file: vertex {v} listed twice")
+            raise lines.error(i, f"vertex {v} listed twice")
         colours[v - 1] = colour
+        line_of[v] = i
+    for v, colour in enumerate(colours, 1):
+        if c >= 0 and not 1 <= colour <= c:
+            raise lines.error(line_of[v], f"vertex {v} has colour {colour} outside 1..{c}")
     return Colouring(colours=tuple(colours), palette=c)

@@ -84,6 +84,11 @@ def test_colouring_file_round_trip():
         ("# n c\n\nx 2\n", "colouring file: malformed header 'x 2' at line 3, expected 'n c'"),
         ("1 2\n# v colour\n1 a\n", "colouring file: malformed line '1 a' at line 3, expected 'v colour'"),
         ("0 -5\n", "palette must be >= 0, got -5"),
+        # A vertex out of range, listed twice or outside the palette is named with its line.
+        ("2 2\n1 1\n# v colour\n1 2\n", "colouring file: vertex 1 listed twice at line 4"),
+        ("2 2\n3 1\n1 1\n", "colouring file: vertex 3 out of range 1..2 at line 2"),
+        ("2 2\n1 1\n2 0\n", "colouring file: vertex 2 has colour 0 outside 1..2 at line 3"),
+        ("3 2\n3 9\n1 1\n2 0\n", "colouring file: vertex 2 has colour 0 outside 1..2 at line 4"),
         # A header far beyond the body is refused before any list of that size exists.
         ("99999999999999 1\n1 1\n", "header declares 99999999999999 vertices, body has 1 lines"),
     ],

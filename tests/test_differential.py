@@ -117,9 +117,13 @@ def test_heap_orderers_match_reference_code_on_corpus_families(family, params, s
 
 
 def assert_greedy_matches_references(g, ordering):
+    # The radius-2 profile comes from the greedy's walk, and sets its palette.
     col = greedy_cf_colouring(g, ordering)
     assert col == reference_bfs_greedy_cf_colouring(g, ordering)
     assert col == reference_greedy_cf_colouring(g, ordering)
+    sizes = back_reach_profile(g, ordering, 2)
+    assert sizes[1:] == tuple(reference_profile_sizes(g, ordering, 2).values())
+    assert col.palette == 2 * max(sizes) - 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,7 +197,8 @@ def test_exact_scol_searches_without_the_heuristic(monkeypatch):
 
 
 def test_greedy_colours_without_a_reach_search(monkeypatch):
-    # The greedy reads each reach set off the coloured-neighbour lists it keeps.
+    # The greedy and the radius-2 profile read each reach set off the
+    # coloured-neighbour lists of one walk; other radii still search.
     # Swapping _reach's code object reaches every name bound to it, including
     # one imported by name.
     cases = []
@@ -201,17 +206,21 @@ def test_greedy_colours_without_a_reach_search(monkeypatch):
         g = generate(spec)
         for strategy in ("identity", "random(1)"):
             ordering = make_ordering(g, strategy)
-            cases.append((g, ordering, reference_greedy_cf_colouring(g, ordering)))
+            want = reference_greedy_cf_colouring(g, ordering)
+            cases.append((g, ordering, want, back_reach_profile(g, ordering, 2)))
 
     def banned(*args):
-        raise AssertionError("greedy_cf_colouring must not run the reach BFS")
+        raise AssertionError("the radius-2 walk must not run the reach BFS")
 
     monkeypatch.setattr(_reach, "__code__", banned.__code__)
-    g, ordering, _ = cases[0]
+    g, ordering, _, _ = cases[0]
     with pytest.raises(AssertionError, match="reach BFS"):
         reach_set(g, ordering, 1, 2)
-    for g, ordering, want in cases:
+    with pytest.raises(AssertionError, match="reach BFS"):
+        back_reach_profile(g, ordering, 3)
+    for g, ordering, want, sizes in cases:
         assert greedy_cf_colouring(g, ordering) == want
+        assert back_reach_profile(g, ordering, 2) == sizes
 
 
 @st.composite

@@ -12,6 +12,7 @@ import hashlib
 from cfcolour import (
     GenSpec,
     VertexOrdering,
+    back_reach_profile,
     degeneracy_order,
     generate,
     greedy_cf_colouring,
@@ -61,3 +62,14 @@ def test_greedy_colouring_with_hubs_is_pinned():
     g = generate(GenSpec("planar3tree", (3000,), seed=1))
     col = greedy_cf_colouring(g, make_ordering(g, "random(1)"))
     assert sha256(save_colouring(col)) == "f7f210f50003d2876b2cfc465f48aa4cf67c82adbf6298479d167668a6008eed"
+
+
+def test_back_reach_profiles_are_pinned():
+    # The hub case along random(1) at radius 2, and the given-order grid's scol
+    # cells at radii 2 and 3: back-reaches 334, 4 and 5.
+    p3t = generate(GenSpec("planar3tree", (3000,), seed=1))
+    grid = generate(GenSpec("grid", (250, 400)))
+    cases = [(p3t, make_ordering(p3t, "random(1)"), 2)]
+    cases += [(grid, VertexOrdering.identity(grid.n), s) for s in (2, 3)]
+    text = "".join(f"{size}\n" for g, ordering, s in cases for size in back_reach_profile(g, ordering, s))
+    assert sha256(text) == "bed9309934abf7a5c821da06a2cf67608b5e30f88852c5926e0eba1cf42727e7"

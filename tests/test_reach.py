@@ -63,6 +63,10 @@ def test_ordering_file_round_trip():
     [
         ("1\n2\nx\n", "ordering file: malformed line 'x' at line 3, expected 'v'"),
         ("2\n# c\n1 2\n2\n", "ordering file: malformed line '1 2' at line 3, expected 'v'"),
+        # A non-permutation names its first vertex out of range or repeated.
+        ("1\n3\n3\n", "ordering file: ordering is not a permutation of 1..3: vertex 3 listed twice at line 3"),
+        ("1\n# c\n5\n2\n", "not a permutation of 1..3: vertex 5 out of range at line 3"),
+        ("2\n0\n", "vertex 0 out of range at line 2"),
     ],
 )
 def test_ordering_file_errors(text, fragment):
