@@ -20,7 +20,6 @@ from .reach import (
     load_ordering,
     make_ordering,
     min_backreach_order,
-    reach_set,
     save_ordering,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "make_ordering",
     "min_backreach_order",
     "parse_genspec",
-    "reach_set",
     "records_to_csv",
     "run_corpus",
     "save_colouring",

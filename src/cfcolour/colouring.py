@@ -202,7 +202,8 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
 def load_colouring(text: str) -> Colouring:
     """Read a colouring file's text: header "n c", then n lines "v colour",
     one per vertex in any order.  A vertex out of range, listed twice, or with
-    a colour outside 1..c is an error naming its line.
+    a colour outside 1..c is an error naming its line; a body of the wrong
+    length or a negative c is an error naming the header's line.
 
     A file in the shape :func:`save_colouring` writes is read in one pass (see
     :class:`~cfcolour.graph.DataLines`)."""
@@ -212,7 +213,7 @@ def load_colouring(text: str) -> Colouring:
     n, c = lines.ints("header", "n c", 1)[:2]
     # The count goes first, so a header far beyond the body allocates nothing.
     if lines.count - 1 != n:
-        raise ValueError(f"colouring file: header declares {n} vertices, body has {lines.count - 1} lines")
+        raise lines.error(0, f"header declares {n} vertices, body has {lines.count - 1} lines")
     fields = lines.ints("line", "v colour")
     colours: list[int | None] = [None] * n
     for i, (v, colour) in enumerate(zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)), 1):
@@ -225,7 +226,7 @@ def load_colouring(text: str) -> Colouring:
         return Colouring(colours=tuple(colours), palette=c)
     except ValueError as err:
         if c < 0:
-            raise
+            raise lines.error(0, str(err)) from None
         # err names the smallest vertex whose colour is outside 1..c; so does the line.
         v = next(v for v, colour in enumerate(colours, 1) if not 1 <= colour <= c)
         raise lines.error(fields[2::2].index(v) + 1, str(err)) from None

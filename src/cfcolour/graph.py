@@ -230,7 +230,7 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
     if reason := size_error(n, m):
         raise lines.error(0, reason)
     if lines.count - 1 != m:
-        raise ValueError(f"{fmt}: {declared}")
+        raise lines.error(0, declared)
     fields = lines.ints("line", edge_shape, tags=tags)
     if lines.rows is None:
         # Written fields are digit runs, never negative, so ids[-1] stands in

@@ -7,8 +7,8 @@ maximum reach-set size over all vertices is the ordering's back-reach; the
 minimum back-reach over all orderings is the s-strong colouring number.
 
 Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
-come from one walk along the ordering (``_reach2``); other radii come from a
-breadth-first search per vertex (``_reach``).
+come from one walk along the ordering (``_reach2``); other radii and the
+exact search use a breadth-first search per vertex (``_reach``).
 """
 
 from __future__ import annotations
@@ -61,10 +61,13 @@ class VertexOrdering:
 
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
-    # The one reach BFS, behind reach_set, _within and back_reach_profile at
-    # radii other than 2; w lies after v exactly when pos[w] > pos[v].  Each
-    # vertex after v is expanded at most once, the last hop only collects,
-    # and the search ends early once the frontier is empty.
+    # The one reach BFS, behind _within and back_reach_profile at radii other
+    # than 2; w lies after v exactly when pos[w] > pos[v].  Only v and vertices
+    # after v are expanded: vertices at or before v are collected as endpoints
+    # but never expanded, so they cannot serve as path interiors, and any walk
+    # found this way shortcuts to a qualifying path.  Each vertex after v is
+    # expanded at most once, the last hop only collects, and the search ends
+    # early once the frontier is empty.
     pv = pos[v]
     collected = {v}
     frontier = [v]
@@ -127,21 +130,6 @@ def _check_args(g: Graph, ordering: VertexOrdering, radius: int) -> None:
 def _check_limit(g: Graph, limit: int) -> None:
     if g.n > limit:
         raise ValueError(f"exact search on {g.n} vertices exceeds limit {limit}; raise limit explicitly")
-
-
-def reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
-    """Reach set of v: endpoints at or before v of paths of length <= radius
-    whose internal vertices all sit strictly after v.
-
-    Computed by breadth-first search from v in which only v and vertices
-    after v are expanded.  Vertices at or before v are collected as endpoints
-    but never expanded, so they cannot serve as path interiors; conversely
-    any walk found this way shortcuts to a qualifying path.
-    """
-    _check_args(g, ordering, radius)
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return _reach(g.adjacency, ordering.pos, v, radius)
 
 
 def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple[int, ...]:

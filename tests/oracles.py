@@ -656,7 +656,9 @@ def reference_save_graph(g: Graph, fmt: str = "edgelist") -> str:
 # text to these.  Verbatim.
 # Only the input changed: DataLines takes the text as it is, a str.  And the
 # ordering and colouring readers name the line of a vertex out of range,
-# repeated, or with a colour outside the palette, as the loaders do.
+# repeated, or with a colour outside the palette, and every reader names the
+# header's line for a count that does not match the body or a negative
+# palette, as the loaders do.
 def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
     """Rows of two integer fields, such as ``"u v"``, as int pairs."""
     return [(int(a), int(b)) for a, b in map(str.split, rows)]
@@ -708,7 +710,7 @@ def reference_parse_edgelist(source: str) -> Graph:
     if reason := size_error(n, m):
         raise lines.error(0, reason)
     if len(lines.rows) - 1 != m:
-        raise ValueError(f"edgelist: header declares {m} edges but body has {len(lines.rows) - 1} lines")
+        raise lines.error(0, f"header declares {m} edges but body has {len(lines.rows) - 1} lines")
     return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
 
 
@@ -729,7 +731,7 @@ def reference_parse_dimacs(source: str) -> Graph:
     if reason := size_error(n, m):
         raise lines.error(0, reason)
     if len(rows) - 1 != m:
-        raise ValueError(f"dimacs: problem line declares {m} edges but found {len(rows) - 1}")
+        raise lines.error(0, f"problem line declares {m} edges but found {len(rows) - 1}")
     return build_graph(n, lines.ints(1, None, "line", "e u v",
                                      lambda r: [(int(u), int(v)) for _, u, v in map(str.split, r)]))
 
@@ -752,7 +754,7 @@ def reference_parse_colouring(source: str) -> Colouring:
         raise ValueError("colouring file: missing 'n c' header line")
     n, c = lines.ints(0, 1, "header", "n c", int_pairs)[0]
     if len(lines.rows) - 1 != n:
-        raise ValueError(f"colouring file: header declares {n} vertices, body has {len(lines.rows) - 1} lines")
+        raise lines.error(0, f"header declares {n} vertices, body has {len(lines.rows) - 1} lines")
     colours: list[int | None] = [None] * n
     line_of = [0] * (n + 1)
     for i, (v, colour) in enumerate(lines.ints(1, None, "line", "v colour", int_pairs), 1):
@@ -762,7 +764,9 @@ def reference_parse_colouring(source: str) -> Colouring:
             raise lines.error(i, f"vertex {v} listed twice")
         colours[v - 1] = colour
         line_of[v] = i
+    if c < 0:
+        raise lines.error(0, f"palette must be >= 0, got {c}")
     for v, colour in enumerate(colours, 1):
-        if c >= 0 and not 1 <= colour <= c:
+        if not 1 <= colour <= c:
             raise lines.error(line_of[v], f"vertex {v} has colour {colour} outside 1..{c}")
     return Colouring(colours=tuple(colours), palette=c)

@@ -194,7 +194,7 @@ def test_verify_negative_palette_exit_2(tmp_path, capsys):
     bad.write_text("0 -5\n")
     code = main(["verify", "--graph", str(graph), "--colouring", str(bad), "--criterion", "proper"])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {bad}: palette must be >= 0, got -5\n"
+    assert capsys.readouterr().err == f"error: {bad}: colouring file: palette must be >= 0, got -5 at line 1\n"
 
 
 def test_input_errors_name_file_and_line(tmp_path, monkeypatch, capsys):

@@ -84,6 +84,12 @@ def test_colouring_file_round_trip():
         ("# n c\n\nx 2\n", "colouring file: malformed header 'x 2' at line 3, expected 'n c'"),
         ("1 2\n# v colour\n1 a\n", "colouring file: malformed line '1 a' at line 3, expected 'v colour'"),
         ("0 -5\n", "palette must be >= 0, got -5"),
+        # A wrong body length or a negative palette is named with the header's
+        # line; the palette is checked after every vertex.
+        ("# n c\n0 -5\n", "colouring file: palette must be >= 0, got -5 at line 2"),
+        ("2 -1\n1 1\n2 1\n", "colouring file: palette must be >= 0, got -1 at line 1"),
+        ("1 -5\n2 1\n", "colouring file: vertex 2 out of range 1..1 at line 2"),
+        ("# n c\n2 2\n1 1\n", "colouring file: header declares 2 vertices, body has 1 lines at line 2"),
         # A vertex out of range, listed twice or outside the palette is named with its line.
         ("2 2\n1 1\n# v colour\n1 2\n", "colouring file: vertex 1 listed twice at line 4"),
         ("2 2\n3 1\n1 1\n", "colouring file: vertex 3 out of range 1..2 at line 2"),

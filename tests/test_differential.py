@@ -27,7 +27,6 @@ from cfcolour import (
     load_ordering,
     make_ordering,
     min_backreach_order,
-    reach_set,
     save_colouring,
     save_graph,
     save_ordering,
@@ -214,8 +213,6 @@ def test_greedy_colours_without_a_reach_search(monkeypatch):
 
     monkeypatch.setattr(_reach, "__code__", banned.__code__)
     g, ordering, _, _ = cases[0]
-    with pytest.raises(AssertionError, match="reach BFS"):
-        reach_set(g, ordering, 1, 2)
     with pytest.raises(AssertionError, match="reach BFS"):
         back_reach_profile(g, ordering, 3)
     for g, ordering, want, sizes in cases:

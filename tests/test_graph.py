@@ -177,6 +177,10 @@ def test_load_edgelist_out_of_range_endpoint():
         ("3\n", "malformed header"),
         ("3 2\n1 2\n", "declares 2 edges"),
         ("3 1\n1 2\n2 3\n", "declares 1 edges"),
+        # A count mismatch names the header's line, in a file read in one pass
+        # and in one read line by line.
+        ("3 1\n1 2\n2 3\n", "edgelist: header declares 1 edges but body has 2 lines at line 1"),
+        ("# n m\n3 2\n1 2\n", "edgelist: header declares 2 edges but body has 1 lines at line 2"),
         ("# n m\n\n3\n", "edgelist: malformed header '3' at line 3, expected 'n m'"),
         ("3 2\n1 2\n# next\n2 x\n", "edgelist: malformed line '2 x' at line 4, expected 'u v'"),
         ("3 1\n\n1 2 3\n", "malformed line '1 2 3' at line 3"),
@@ -197,6 +201,7 @@ def test_load_edgelist_errors(text, fragment):
         # Every line's prefix is checked before the size bound.
         ("p edge 10000000000 0\nx 1 2\n", "dimacs: unknown line prefix 'x' at line 2"),
         ("p edge 2 2\ne 1 2\n", "declares 2 edges"),
+        ("c\np edge 2 2\ne 1 2\n", "dimacs: problem line declares 2 edges but found 1 at line 2"),
         ("p foo 2 1\ne 1 2\n", "malformed problem line"),
         ("p edge 2 1\ne 1 2\np edge 2 1\n", "repeated"),
         ("c hi\ne 1 2\n", "dimacs: edge line before 'p edge n m' line at line 2"),

@@ -18,7 +18,7 @@ def test_public_surface_is_pinned():
         "degeneracy_order", "exact_chromatic", "exact_scol", "generate",
         "greedy_cf_colouring", "load_colouring", "load_corpus", "load_graph",
         "load_ordering", "make_ordering", "min_backreach_order", "parse_genspec",
-        "reach_set", "records_to_csv", "run_corpus", "save_colouring", "save_graph",
+        "records_to_csv", "run_corpus", "save_colouring", "save_graph",
         "save_ordering", "verify_colouring",
     ]
     assert public(generate(GenSpec("path", (3,)))) == {"adjacency", "edges", "m", "n", "vertices"}

@@ -15,9 +15,9 @@ from cfcolour import (
     load_ordering,
     make_ordering,
     min_backreach_order,
-    reach_set,
     save_ordering,
 )
+from cfcolour.reach import _reach, _reach2
 from oracles import all_graphs, enumerate_reach, enumerate_scol
 
 
@@ -88,45 +88,42 @@ def test_make_ordering_strategies():
         make_ordering(g, "random(x)")
 
 
-# --- reach_set --------------------------------------------------------------
+# --- _reach -----------------------------------------------------------------
 
 
 def test_reach_p4_excludes_left_interior():
     # The length-2 path through vertex 3 does not count: 3 comes before 4.
-    assert reach_set(path(4), VertexOrdering.identity(4), 4, 2) == {4, 3}
+    assert _reach(path(4).adjacency, VertexOrdering.identity(4).pos, 4, 2) == {4, 3}
 
 
 def test_reach_first_vertex_is_singleton():
     g = cycle(5)
     o = VertexOrdering((2, 4, 1, 3, 5))
     for s in (1, 2, 3):
-        assert reach_set(g, o, 2, s) == {2}
+        assert _reach(g.adjacency, o.pos, 2, s) == {2}
 
 
 def test_reach_c5_wraps_through_right_interior():
-    assert reach_set(cycle(5), VertexOrdering.identity(5), 4, 2) == {4, 3, 1}
+    assert _reach(cycle(5).adjacency, VertexOrdering.identity(5).pos, 4, 2) == {4, 3, 1}
 
 
 def test_reach_star_centre_last():
     # Leaf 3 reaches leaf 2 through the centre, which sits to the right.
-    assert reach_set(star(3), VertexOrdering((2, 3, 4, 1)), 3, 2) == {3, 2}
+    assert _reach(star(3).adjacency, VertexOrdering((2, 3, 4, 1)).pos, 3, 2) == {3, 2}
+
+
+# --- back_reach_profile -----------------------------------------------------
 
 
 def test_reach_rejects_bad_arguments():
     g = path(3)
     o = VertexOrdering.identity(3)
-    with pytest.raises(ValueError, match="radius"):
-        reach_set(g, o, 1, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        reach_set(g, o, 9, 1)
-    for v in (0, -1):
-        with pytest.raises(ValueError, match=f"^vertex {v} out of range 1..3$"):
-            reach_set(g, o, v, 1)
+    with pytest.raises(ValueError, match="^radius must be >= 1, got 0$"):
+        back_reach_profile(g, o, 0)
+    with pytest.raises(ValueError, match="^radius must be >= 1, got 0$"):
+        exact_scol(g, 0)
     with pytest.raises(ValueError, match="ordering covers"):
-        reach_set(g, VertexOrdering.identity(4), 1, 1)
-
-
-# --- back_reach_profile -----------------------------------------------------
+        back_reach_profile(g, VertexOrdering.identity(4), 1)
 
 
 def test_profile_c5_identity():
@@ -267,7 +264,16 @@ def graph_order_radius(draw, max_n=7):
 def test_reach_matches_path_enumeration(t):
     g, ordering, s = t
     for v in g.vertices:
-        assert reach_set(g, ordering, v, s) == enumerate_reach(g, ordering, v, s)
+        assert _reach(g.adjacency, ordering.pos, v, s) == enumerate_reach(g, ordering, v, s)
+    # The radius-2 walk yields every vertex in order, with its reach set and
+    # its earlier neighbours sorted by position.
+    yielded = []
+    for v, r, earlier in _reach2(g.adjacency, ordering):
+        yielded.append(v)
+        assert r == enumerate_reach(g, ordering, v, 2)
+        before = [w for w in g.adjacency[v] if ordering.pos[w] < ordering.pos[v]]
+        assert list(earlier) == sorted(before, key=ordering.pos.__getitem__)
+    assert tuple(yielded) == ordering.seq
 
 
 @settings(max_examples=80)
@@ -275,12 +281,12 @@ def test_reach_matches_path_enumeration(t):
 def test_reach_basics(t):
     g, ordering, s = t
     for v in g.vertices:
-        r = reach_set(g, ordering, v, s)
+        r = _reach(g.adjacency, ordering.pos, v, s)
         assert v in r
         assert all(ordering.pos[w] <= ordering.pos[v] for w in r)
-        assert r <= reach_set(g, ordering, v, s + 1)
+        assert r <= _reach(g.adjacency, ordering.pos, v, s + 1)
         left_nbrs = {w for w in g.adjacency[v] if ordering.pos[w] < ordering.pos[v]}
-        assert reach_set(g, ordering, v, 1) == {v} | left_nbrs
+        assert _reach(g.adjacency, ordering.pos, v, 1) == {v} | left_nbrs
 
 
 def test_profile_max_nondecreasing_in_radius():
