@@ -28,7 +28,7 @@ from .colouring import (
 )
 from .generators import FAMILIES, GenSpec, generate, parse_params
 from .graph import FORMATS, load_graph, save_graph
-from .reach import back_reach_profile, exact_scol, load_ordering, make_ordering
+from .reach import STRATEGIES, back_reach_profile, exact_scol, load_ordering, make_ordering
 
 
 def _load(path: str, parse, *args):
@@ -124,9 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_ordering_group(p: argparse.ArgumentParser):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--order", help="ordering file, '-' for stdin")
-        group.add_argument(
-            "--strategy", help="identity, reverse, random(seed), random (seed 0), degeneracy, min_backreach"
-        )
+        group.add_argument("--strategy", help=f"{', '.join(STRATEGIES)}, or random(seed); random is random(0)")
         return group
 
     p = sub.add_parser("gen", help="generate a corpus graph")

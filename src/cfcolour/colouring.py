@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Collection, Literal, Sequence
 
 from .graph import DataLines, Graph
-from .reach import VertexOrdering, _check_args, _check_limit, _reach2
+from .reach import VertexOrdering, _check_covers, _check_limit, _reach2
 
 Criterion = Literal["proper", "odd", "conflict_free"]
 CRITERIA = ("proper", "odd", "conflict_free")
@@ -63,7 +63,7 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     (``cfcolour.reach._reach2``); v's leftmost neighbour is its first earlier
     neighbour or, when it has none, the first neighbour coloured after v.
     """
-    _check_args(g, ordering, 2)
+    _check_covers(g, ordering)
     if g.n == 0:
         return Colouring(colours=(), palette=0)
 
@@ -88,11 +88,10 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
             choice += 1
         colour_of[v] = choice
 
-    palette = 2 * r - 1  # n >= 1 and v is in its own reach set, so r >= 1
-    if max(colour_of) > palette:
-        v = colour_of.index(max(colour_of))
-        raise RuntimeError(f"palette of {palette} colours exhausted at vertex {v}; this indicates a bug")
-    return Colouring(colours=tuple(colour_of[1:]), palette=palette)
+    try:  # n >= 1 gives r >= 1, and Theorem 1 keeps every colour in 1..2r - 1
+        return Colouring(colours=tuple(colour_of[1:]), palette=2 * r - 1)
+    except ValueError as err:
+        raise RuntimeError(f"palette exhausted: {err}; this indicates a bug") from None
 
 
 def _holds(counts: Collection[int], odd: bool) -> bool:

@@ -120,9 +120,12 @@ def _reach2(
         yield v, reach, earlier
 
 
-def _check_args(g: Graph, ordering: VertexOrdering, radius: int) -> None:
+def _check_radius(radius: int) -> None:
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
+
+
+def _check_covers(g: Graph, ordering: VertexOrdering) -> None:
     if g.n != ordering.n:
         raise ValueError(f"ordering covers {ordering.n} vertices, graph has {g.n}")
 
@@ -139,7 +142,8 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple
     ordering's back-reach is ``max(sizes)``, and ``sizes.index(max(sizes))``
     is the smallest vertex attaining it (0 for the empty graph).
     """
-    _check_args(g, ordering, radius)
+    _check_radius(radius)
+    _check_covers(g, ordering)
     adj, pos = g.adjacency, ordering.pos
     if radius == 2:
         sizes = [0] * (g.n + 1)
@@ -293,8 +297,7 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     ordering found is the witness.  The witness is one optimal ordering; only
     the value is unique.
     """
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    _check_radius(radius)
     _check_limit(g, limit)
     k = min(degeneracy_order(g)[1] + 1, g.n)
     while (placed_rtl := _within(g.adjacency, g.n, radius, k)) is None:

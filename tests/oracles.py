@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Literal, Sequence
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
 from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
-from cfcolour.reach import _check_args, _reach
+from cfcolour.reach import _check_covers, _reach
 
 
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
@@ -221,7 +221,7 @@ def reference_bfs_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Col
     palette; and the leftmost neighbour of u is the first of u's neighbours
     to be coloured, so the pass records it when it colours that neighbour.
     """
-    _check_args(g, ordering, 2)
+    _check_covers(g, ordering)
     if g.n == 0:
         return Colouring(colours=(), palette=0)
     adj, pos = g.adjacency, ordering.pos

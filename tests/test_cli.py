@@ -3,8 +3,10 @@ import time
 
 import pytest
 
+import cfcolour.colouring
 from cfcolour import GenSpec, generate, load_colouring, load_graph, save_graph
 from cfcolour.cli import main
+from cfcolour.reach import STRATEGIES
 
 
 def write_graph(tmp_path, name, spec, fmt="edgelist"):
@@ -85,6 +87,26 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr("cfcolour.cli._cmd_gen", broken)
     assert main(["gen", "--family", "path", "--params", "4"]) == 3
     assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+
+def test_exhausted_greedy_palette_is_internal_error(tmp_path, monkeypatch, capsys):
+    # The walk of test_greedy_palette_guard_is_live: vertex 3 takes colour 2
+    # against a palette of 1.
+    walk = cfcolour.colouring._reach2
+    monkeypatch.setattr("cfcolour.colouring._reach2", lambda adj, o: ((v, {v}, e) for v, _, e in walk(adj, o)))
+    graph = write_graph(tmp_path, "p3.el", GenSpec("path", (3,)))
+    assert main(["colour", "--graph", graph, "--strategy", "identity", "-o", str(tmp_path / "p3.col")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError") and err.endswith("this indicates a bug\n")
+
+
+@pytest.mark.parametrize("command", ["scol", "colour"])
+def test_strategy_help_lists_every_strategy(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--strategy STRATEGY {', '.join(STRATEGIES)}, or random(seed)" in text
 
 
 def test_scol_strategy(tmp_path, capsys):

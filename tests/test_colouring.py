@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfcolour.colouring
 from cfcolour import (
     Colouring,
     GenSpec,
@@ -149,6 +150,16 @@ def test_greedy_rejects_mismatched_ordering():
         greedy_cf_colouring(path(3), VertexOrdering.identity(4))
 
 
+def test_greedy_palette_guard_is_live(monkeypatch):
+    # A walk that shrinks every reach set to {v} gives a palette of 1, and
+    # vertex 3 of the path takes colour 2 for its earlier neighbour's
+    # leftmost neighbour; the result must fail as a bug, not come back.
+    walk = cfcolour.colouring._reach2
+    monkeypatch.setattr("cfcolour.colouring._reach2", lambda adj, o: ((v, {v}, e) for v, _, e in walk(adj, o)))
+    with pytest.raises(RuntimeError, match="indicates a bug"):
+        greedy_cf_colouring(path(3), VertexOrdering.identity(3))
+
+
 # --- verify_colouring -------------------------------------------------------
 
 
@@ -221,6 +232,11 @@ def test_exact_chromatic_examples(g, variant, want):
     assert verify_colouring(g, witness, "proper").ok
     if variant != "proper":
         assert verify_colouring(g, witness, variant).ok
+
+
+def test_exact_chromatic_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant"):
+        exact_chromatic(path(3), "rainbow")
 
 
 def test_exact_chromatic_empty_and_edgeless():
