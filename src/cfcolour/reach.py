@@ -7,8 +7,9 @@ maximum reach-set size over all vertices is the ordering's back-reach; the
 minimum back-reach over all orderings is the s-strong colouring number.
 
 Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
-come from one walk along the ordering (``_reach2``); other radii and the
-exact search use a breadth-first search per vertex (``_reach``).
+come from one walk along the ordering (``_reach2``); the profile at other
+radii uses a breadth-first search per vertex (``_reach``).  The exact search
+keeps its vertex sets as ints, one bit per vertex, and hops over their bits.
 """
 
 from __future__ import annotations
@@ -61,13 +62,14 @@ class VertexOrdering:
 
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
-    # The one reach BFS, behind _within and back_reach_profile at radii other
-    # than 2; w lies after v exactly when pos[w] > pos[v].  Only v and vertices
-    # after v are expanded: vertices at or before v are collected as endpoints
-    # but never expanded, so they cannot serve as path interiors, and any walk
-    # found this way shortcuts to a qualifying path.  Each vertex after v is
-    # expanded at most once, the last hop only collects, and the search ends
-    # early once the frontier is empty.
+    # The one reach BFS, behind back_reach_profile at radii other than 2
+    # (_within runs the same search on int masks); w lies after v exactly
+    # when pos[w] > pos[v].  Only v and vertices after v are expanded:
+    # vertices at or before v are collected as endpoints but never expanded,
+    # so they cannot serve as path interiors, and any walk found this way
+    # shortcuts to a qualifying path.  Each vertex after v is expanded at
+    # most once, the last hop only collects, and the search ends early once
+    # the frontier is empty.
     pv = pos[v]
     collected = {v}
     frontier = [v]
@@ -247,23 +249,46 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     return VertexOrdering(tuple(reversed(placed_rtl)))
 
 
-def _within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) -> list[int] | None:
+def _within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | None:
     # An ordering with back-reach at most k, as the vertices placed right to
     # left, or None.  Depth-first over right-sets: a vertex may be placed only
     # while its reach set, fixed once everything to its right is, has at most
-    # k members.  placed[w] is 1 when w is in the right-set, so it serves as
-    # the position array of _reach for every unplaced vertex.  A right-set
-    # whose every continuation failed goes into `dead`, so each right-set is
-    # expanded at most once.
-    placed = [0] * (n + 1)
-    full = (1 << n) - 1
+    # k members.  Every vertex set is an int with bit v for vertex v: nbrs[v]
+    # holds v's neighbours and `mask` the right-set.  An unplaced v reaches
+    # itself and the unplaced vertices hit within radius hops, where only v
+    # and right-set members are expanded, each at most once, as in _reach.
+    # A right-set whose every continuation failed goes into `dead`, so each
+    # right-set is expanded at most once.
+    full = (1 << n + 1) - 2
     dead: set[int] = set()
     mask = 0
     placed_rtl: list[int] = []
 
     def candidates() -> list[int]:
         # Largest id first, so that pop() tries the smallest id first.
-        return [v for v in range(n, 0, -1) if not placed[v] and len(_reach(adj, placed, v, radius)) <= k]
+        free = full ^ mask
+        out = []
+        for v in range(n, 0, -1):
+            if not free >> v & 1:
+                continue
+            hit = nbrs[v]
+            reach = hit & free | 1 << v
+            frontier = hit & mask
+            unseen = mask ^ frontier
+            for _ in range(radius - 1):
+                if not frontier:
+                    break
+                hit = 0
+                while frontier:
+                    low = frontier & -frontier
+                    hit |= nbrs[low.bit_length() - 1]
+                    frontier ^= low
+                reach |= hit & free
+                frontier = hit & unseen
+                unseen ^= frontier
+            if reach.bit_count() <= k:
+                out.append(v)
+        return out
 
     stack = [candidates()]
     while stack:
@@ -273,15 +298,12 @@ def _within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) -> list[i
             dead.add(mask)
             stack.pop()
             if placed_rtl:
-                v = placed_rtl.pop()
-                placed[v] = 0
-                mask ^= 1 << (v - 1)
+                mask ^= 1 << placed_rtl.pop()
             continue
         v = stack[-1].pop()
-        if mask | 1 << (v - 1) in dead:
+        if mask | 1 << v in dead:
             continue
-        placed[v] = 1
-        mask |= 1 << (v - 1)
+        mask |= 1 << v
         placed_rtl.append(v)
         stack.append(candidates())
     return None
@@ -299,8 +321,9 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     """
     _check_radius(radius)
     _check_limit(g, limit)
+    nbrs = [sum(1 << w for w in a) for a in g.adjacency]
     k = min(degeneracy_order(g)[1] + 1, g.n)
-    while (placed_rtl := _within(g.adjacency, g.n, radius, k)) is None:
+    while (placed_rtl := _within(nbrs, g.n, radius, k)) is None:
         k += 1
     return k, VertexOrdering(tuple(reversed(placed_rtl)))
 

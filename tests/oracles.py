@@ -317,6 +317,51 @@ def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, V
     return value, VertexOrdering(tuple(reversed(placed_rtl)))
 
 
+# exact_scol's search as it was before it kept its vertex sets as ints:
+# the right-set as a `placed` list beside its mask, and every candidate's
+# reach set from the list BFS _reach.
+
+
+def reference_within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) -> list[int] | None:
+    # An ordering with back-reach at most k, as the vertices placed right to
+    # left, or None.  Depth-first over right-sets: a vertex may be placed only
+    # while its reach set, fixed once everything to its right is, has at most
+    # k members.  placed[w] is 1 when w is in the right-set, so it serves as
+    # the position array of _reach for every unplaced vertex.  A right-set
+    # whose every continuation failed goes into `dead`, so each right-set is
+    # expanded at most once.
+    placed = [0] * (n + 1)
+    full = (1 << n) - 1
+    dead: set[int] = set()
+    mask = 0
+    placed_rtl: list[int] = []
+
+    def candidates() -> list[int]:
+        # Largest id first, so that pop() tries the smallest id first.
+        return [v for v in range(n, 0, -1) if not placed[v] and len(_reach(adj, placed, v, radius)) <= k]
+
+    stack = [candidates()]
+    while stack:
+        if mask == full:
+            return placed_rtl
+        if not stack[-1]:
+            dead.add(mask)
+            stack.pop()
+            if placed_rtl:
+                v = placed_rtl.pop()
+                placed[v] = 0
+                mask ^= 1 << (v - 1)
+            continue
+        v = stack[-1].pop()
+        if mask | 1 << (v - 1) in dead:
+            continue
+        placed[v] = 1
+        mask |= 1 << (v - 1)
+        placed_rtl.append(v)
+        stack.append(candidates())
+    return None
+
+
 # The validators as they were before the single pass: an edge loop for
 # proper, and one Counter per neighbourhood and criterion for the others.
 # Only the accessors changed: col.colours[v - 1].

@@ -36,6 +36,7 @@ from cfcolour.colouring import CRITERIA, _violations
 from cfcolour.graph import DataLines
 from cfcolour.reach import _reach
 from oracles import (
+    all_graphs,
     reference_bfs_greedy_cf_colouring,
     reference_build_graph,
     reference_degeneracy_order,
@@ -51,6 +52,7 @@ from oracles import (
     reference_save_graph,
     reference_two_path_build_graph,
     reference_verify_colouring,
+    reference_within,
 )
 
 
@@ -193,6 +195,36 @@ def test_exact_scol_searches_without_the_heuristic(monkeypatch):
     monkeypatch.setattr("cfcolour.reach.min_backreach_order", banned)
     monkeypatch.setattr("cfcolour.reach.back_reach_profile", banned)
     assert [exact_scol(g, 2)[0] for g in graphs] == want
+
+
+def test_exact_scol_matches_the_list_search():
+    # The int-set search gives the list search's value and witness: every
+    # graph on 5 vertices, the empty graph and the exact workload's panel.
+    graphs = [*all_graphs(5), build_graph(0, [])]
+    for s in range(3):
+        graphs += [generate(GenSpec("planar3tree", (17,), seed=s)), generate(GenSpec("gnp", (20, 0.2), seed=s))]
+    for g in graphs:
+        for radius in (1, 2, 3):
+            k = min(degeneracy_order(g)[1] + 1, g.n)
+            while (placed_rtl := reference_within(g.adjacency, g.n, radius, k)) is None:
+                k += 1
+            value, witness = exact_scol(g, radius, limit=g.n)
+            assert (value, witness.seq) == (k, tuple(reversed(placed_rtl))), (g, radius)
+
+
+def test_exact_scol_searches_without_a_reach_bfs(monkeypatch):
+    # The search sizes each reach set from int masks; the list BFS is left
+    # to back_reach_profile at radii other than 2.
+    graphs = [generate(GenSpec("cycle", (5,))), generate(GenSpec("gnp", (10, 0.5), 32))]
+    want = [reference_exact_scol(g, s)[0] for g in graphs for s in (1, 2, 3)]
+
+    def banned(*args):
+        raise AssertionError("the exact search must not run the reach BFS")
+
+    monkeypatch.setattr(_reach, "__code__", banned.__code__)
+    with pytest.raises(AssertionError, match="reach BFS"):
+        back_reach_profile(graphs[0], VertexOrdering.identity(5), 3)
+    assert [exact_scol(g, s)[0] for g in graphs for s in (1, 2, 3)] == want
 
 
 def test_greedy_colours_without_a_reach_search(monkeypatch):

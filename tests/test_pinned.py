@@ -2,9 +2,10 @@
 
 The differential tests compare against the reference code at n <= 40.  These
 digests were recorded once at n = 3000 (the corpus workload's graphs and
-strategies) and at 10^5 vertices (the given-order workload's grid), so a
-speed-up that changes an ordering's tie-break, a reach size or a colour at
-scale fails here.
+strategies), at 10^5 vertices (the given-order workload's grid) and at
+n = 17-20 (the exact workload's exact_scol panel), so a speed-up that changes
+an ordering's tie-break, a reach size, a colour or an exact witness at scale
+fails here.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from cfcolour import (
     VertexOrdering,
     back_reach_profile,
     degeneracy_order,
+    exact_scol,
     generate,
     greedy_cf_colouring,
     make_ordering,
@@ -73,3 +75,14 @@ def test_back_reach_profiles_are_pinned():
     cases += [(grid, VertexOrdering.identity(grid.n), s) for s in (2, 3)]
     text = "".join(f"{size}\n" for g, ordering, s in cases for size in back_reach_profile(g, ordering, s))
     assert sha256(text) == "bed9309934abf7a5c821da06a2cf67608b5e30f88852c5926e0eba1cf42727e7"
+
+
+def test_exact_scol_witnesses_are_pinned():
+    # The exact workload's panel at radius 2: values 4-5, and every witness.
+    parts = []
+    for seed in range(3):
+        for spec in (GenSpec("planar3tree", (17,), seed=seed), GenSpec("gnp", (20, 0.2), seed=seed)):
+            g = generate(spec)
+            value, witness = exact_scol(g, 2, limit=g.n)
+            parts.append(f"{value}\n" + save_ordering(witness))
+    assert sha256("".join(parts)) == "7689ba0964e5c251db0119f7b578fe754a700062c3276f44f57508f9f85760fe"
