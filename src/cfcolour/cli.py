@@ -1,9 +1,10 @@
 """Command-line front end: gen, scol, colour, verify, exact, bench.
 
-Paths given as "-" read standard input or write standard output.  Exit codes:
-0 on success, 1 when a verification or bound predicate fails, 2 on usage or
-input errors (a parse error names the file and line), 3 on an internal error
-(any other exception, such as an exhausted greedy palette).
+Paths given as "-" read standard input or write standard output, and at most
+one input may be "-".  Exit codes: 0 on success, 1 when a verification or
+bound predicate fails, 2 on usage or input errors (a parse error names the
+file and line), 3 on an internal error (any other exception, such as an
+exhausted greedy palette).
 
 The exact searches are iterative, so no n within ``--limit`` reaches the
 recursion limit.  ``scol --exact`` counts up from degeneracy + 1 to the first
@@ -174,6 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # One stream holds one file: a second reader would see nothing, or the
+    # first file's text, and fail with a misleading parse error.
+    stdin = [f"--{name}" for name in ("graph", "order", "colouring") if getattr(args, name, None) == "-"]
+    if len(stdin) > 1:
+        parser.error(f"{' and '.join(stdin)} cannot both read standard input")
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

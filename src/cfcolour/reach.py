@@ -9,7 +9,8 @@ minimum back-reach over all orderings is the s-strong colouring number.
 Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
 come from one walk along the ordering (``_reach2``); the profile at other
 radii uses a breadth-first search per vertex (``_reach``).  The exact search
-keeps its vertex sets as ints, one bit per vertex, and hops over their bits.
+keeps its vertex sets as ints, one bit per vertex, and hops over their bits;
+placing a vertex recomputes only the reach sets of the members of its own.
 """
 
 from __future__ import annotations
@@ -257,22 +258,27 @@ def _within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | Non
     # holds v's neighbours and `mask` the right-set.  An unplaced v reaches
     # itself and the unplaced vertices hit within radius hops, where only v
     # and right-set members are expanded, each at most once, as in _reach.
-    # A right-set whose every continuation failed goes into `dead`, so each
+    # Reach between unplaced vertices is symmetric (read a path backwards), so
+    # placing v changes only the sets of the other members of v's own; a new
+    # path through v into any other set would have to reach v first.  Each
+    # depth keeps every reach set (0 once placed), the unplaced vertices whose
+    # set has at most k members (`fits`) and those not yet tried, smallest id
+    # first; refresh() recomputes the sets in `stale` and updates `fits`.  A
+    # right-set whose every continuation failed goes into `dead`, so each
     # right-set is expanded at most once.
     full = (1 << n + 1) - 2
     dead: set[int] = set()
     mask = 0
     placed_rtl: list[int] = []
 
-    def candidates() -> list[int]:
-        # Largest id first, so that pop() tries the smallest id first.
+    def refresh(reach: list[int], fits: int, stale: int) -> int:
         free = full ^ mask
-        out = []
-        for v in range(n, 0, -1):
-            if not free >> v & 1:
-                continue
+        while stale:
+            bit = stale & -stale
+            stale ^= bit
+            v = bit.bit_length() - 1
             hit = nbrs[v]
-            reach = hit & free | 1 << v
+            found = hit & free | bit
             frontier = hit & mask
             unseen = mask ^ frontier
             for _ in range(radius - 1):
@@ -283,29 +289,37 @@ def _within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | Non
                     low = frontier & -frontier
                     hit |= nbrs[low.bit_length() - 1]
                     frontier ^= low
-                reach |= hit & free
+                found |= hit & free
                 frontier = hit & unseen
                 unseen ^= frontier
-            if reach.bit_count() <= k:
-                out.append(v)
-        return out
+            reach[v] = found
+            fits = fits | bit if found.bit_count() <= k else fits & ~bit
+        return fits
 
-    stack = [candidates()]
+    reach = [0] * (n + 1)
+    fits = refresh(reach, 0, full)
+    stack = [(reach, fits, fits)]
     while stack:
         if mask == full:
             return placed_rtl
-        if not stack[-1]:
+        reach, fits, untried = stack[-1]
+        if not untried:
             dead.add(mask)
             stack.pop()
             if placed_rtl:
                 mask ^= 1 << placed_rtl.pop()
             continue
-        v = stack[-1].pop()
-        if mask | 1 << v in dead:
+        bit = untried & -untried
+        stack[-1] = reach, fits, untried ^ bit
+        if mask | bit in dead:
             continue
-        mask |= 1 << v
+        v = bit.bit_length() - 1
+        mask |= bit
         placed_rtl.append(v)
-        stack.append(candidates())
+        child = reach.copy()
+        child[v] = 0
+        fits = refresh(child, fits ^ bit, reach[v] ^ bit)
+        stack.append((child, fits, fits))
     return None
 
 
@@ -317,7 +331,8 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     the empty graph) is tested by a depth-first search for an ordering with
     back-reach at most k; the first k that has one is the value, and the
     ordering found is the witness.  The witness is one optimal ordering; only
-    the value is unique.
+    the value is unique.  Reach is symmetric between unplaced vertices, so
+    placing one recomputes only the reach sets of the other members of its own.
     """
     _check_radius(radius)
     _check_limit(g, limit)

@@ -36,6 +36,27 @@ def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> 
     return found
 
 
+def enumerate_right_reach(g: Graph, right: int, v: int, radius: int) -> int:
+    """Reach set of v outside the right-set `right`, both as masks with bit w
+    for vertex w: v and the vertices outside `right` that end a simple path
+    from v of length <= radius whose interior lies in `right`, by walking
+    every such path."""
+    found = 1 << v
+
+    def walk(path: list[int]) -> None:
+        nonlocal found
+        for w in g.adjacency[path[-1]]:
+            if w in path:
+                continue
+            if not right >> w & 1:
+                found |= 1 << w
+            elif len(path) < radius:
+                walk(path + [w])
+
+    walk([v])
+    return found
+
+
 def enumerate_scol(g: Graph, radius: int) -> int:
     """Minimum back-reach over all n! orderings, via enumerate_reach."""
     best = None
@@ -357,6 +378,71 @@ def reference_within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) 
             continue
         placed[v] = 1
         mask |= 1 << (v - 1)
+        placed_rtl.append(v)
+        stack.append(candidates())
+    return None
+
+
+# exact_scol's search as it was before it kept each depth's reach sets: the
+# int-set search, which recomputes every unplaced vertex's reach set at every
+# node.
+
+
+def reference_mask_within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | None:
+    # An ordering with back-reach at most k, as the vertices placed right to
+    # left, or None.  Depth-first over right-sets: a vertex may be placed only
+    # while its reach set, fixed once everything to its right is, has at most
+    # k members.  Every vertex set is an int with bit v for vertex v: nbrs[v]
+    # holds v's neighbours and `mask` the right-set.  An unplaced v reaches
+    # itself and the unplaced vertices hit within radius hops, where only v
+    # and right-set members are expanded, each at most once, as in _reach.
+    # A right-set whose every continuation failed goes into `dead`, so each
+    # right-set is expanded at most once.
+    full = (1 << n + 1) - 2
+    dead: set[int] = set()
+    mask = 0
+    placed_rtl: list[int] = []
+
+    def candidates() -> list[int]:
+        # Largest id first, so that pop() tries the smallest id first.
+        free = full ^ mask
+        out = []
+        for v in range(n, 0, -1):
+            if not free >> v & 1:
+                continue
+            hit = nbrs[v]
+            reach = hit & free | 1 << v
+            frontier = hit & mask
+            unseen = mask ^ frontier
+            for _ in range(radius - 1):
+                if not frontier:
+                    break
+                hit = 0
+                while frontier:
+                    low = frontier & -frontier
+                    hit |= nbrs[low.bit_length() - 1]
+                    frontier ^= low
+                reach |= hit & free
+                frontier = hit & unseen
+                unseen ^= frontier
+            if reach.bit_count() <= k:
+                out.append(v)
+        return out
+
+    stack = [candidates()]
+    while stack:
+        if mask == full:
+            return placed_rtl
+        if not stack[-1]:
+            dead.add(mask)
+            stack.pop()
+            if placed_rtl:
+                mask ^= 1 << placed_rtl.pop()
+            continue
+        v = stack[-1].pop()
+        if mask | 1 << v in dead:
+            continue
+        mask |= 1 << v
         placed_rtl.append(v)
         stack.append(candidates())
     return None

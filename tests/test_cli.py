@@ -275,6 +275,34 @@ def test_graph_from_stdin(monkeypatch, capsys):
     assert "colours=" in capsys.readouterr().err
 
 
+def stdin_twice(monkeypatch, capsys, argv, other):
+    # Both inputs on stdin are a usage error, raised before stdin is read.
+    stdin = io.StringIO("3 2\n1 2\n2 3\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: --graph and {other} cannot both read standard input\n")
+    assert stdin.tell() == 0
+
+
+def test_scol_graph_and_order_from_stdin_is_usage_error(monkeypatch, capsys):
+    stdin_twice(monkeypatch, capsys, ["scol", "--graph", "-", "--order", "-", "--s", "2"], "--order")
+
+
+def test_colour_graph_and_order_from_stdin_is_usage_error(monkeypatch, capsys):
+    stdin_twice(monkeypatch, capsys, ["colour", "--graph", "-", "--order", "-"], "--order")
+    # Writing the colouring to stdout is not a second input.
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+    assert main(["colour", "--graph", "-", "--strategy", "identity", "-o", "-"]) == 0
+    assert capsys.readouterr().out == "3 3\n1 1\n2 2\n3 3\n"
+
+
+def test_verify_graph_and_colouring_from_stdin_is_usage_error(monkeypatch, capsys):
+    argv = ["verify", "--graph", "-", "--colouring", "-", "--criterion", "proper"]
+    stdin_twice(monkeypatch, capsys, argv, "--colouring")
+
+
 def test_dimacs_graph_input(tmp_path, capsys):
     graph = write_graph(tmp_path, "k3.col", GenSpec("complete", (3,)), fmt="dimacs")
     assert main(["scol", "--graph", graph, "--format", "dimacs", "--s", "1",

@@ -43,6 +43,7 @@ from oracles import (
     reference_exact_chromatic,
     reference_exact_scol,
     reference_greedy_cf_colouring,
+    reference_mask_within,
     reference_min_backreach_order,
     reference_parse_colouring,
     reference_parse_dimacs,
@@ -210,6 +211,24 @@ def test_exact_scol_matches_the_list_search():
                 k += 1
             value, witness = exact_scol(g, radius, limit=g.n)
             assert (value, witness.seq) == (k, tuple(reversed(placed_rtl))), (g, radius)
+
+
+def test_exact_scol_matches_the_int_set_search_on_deeper_graphs():
+    # The search that keeps each depth's reach sets gives the value and
+    # witness of the one that recomputes them all, past the panel's n = 20.
+    cases = [
+        (GenSpec("gnp", (24, 0.2), seed=1), {1: 4, 2: 6, 3: 7}),
+        (GenSpec("gnp", (26, 0.15), seed=1), {1: 4, 2: 5}),
+    ]
+    for spec, values in cases:
+        g = generate(spec)
+        nbrs = [sum(1 << w for w in a) for a in g.adjacency]
+        for radius, value in values.items():
+            k = min(degeneracy_order(g)[1] + 1, g.n)
+            while (placed_rtl := reference_mask_within(nbrs, g.n, radius, k)) is None:
+                k += 1
+            got, witness = exact_scol(g, radius, limit=g.n)
+            assert (got, witness.seq) == (value, tuple(reversed(placed_rtl))) and k == value, (spec, radius)
 
 
 def test_exact_scol_searches_without_a_reach_bfs(monkeypatch):

@@ -18,7 +18,7 @@ from cfcolour import (
     save_ordering,
 )
 from cfcolour.reach import _reach, _reach2
-from oracles import all_graphs, enumerate_reach, enumerate_scol
+from oracles import all_graphs, enumerate_reach, enumerate_right_reach, enumerate_scol
 
 
 def path(n):
@@ -308,6 +308,27 @@ def test_scol_monotone_in_radius_and_subgraph():
 def test_scol1_is_degeneracy_plus_one_on_all_n4_graphs():
     for g in all_graphs(4):
         assert exact_scol(g, 1)[0] == degeneracy_order(g)[1] + 1
+
+
+def test_reach_between_unplaced_vertices_is_symmetric_and_local():
+    # The rule behind exact_scol's search, by path enumeration: given a
+    # right-set, an unplaced x reaches an unplaced v exactly when v reaches
+    # x, and when v joins the right-set the only unplaced reach sets that
+    # change are those that held v.
+    for g in all_graphs(5):
+        full = (1 << g.n + 1) - 2
+        for radius in (1, 2, 3):
+            reach = {
+                (right, x): enumerate_right_reach(g, right, x, radius)
+                for right in range(0, full + 1, 2)
+                for x in g.vertices
+                if not right >> x & 1
+            }
+            for (right, x), held in reach.items():
+                for v in g.vertices:
+                    if v != x and not right >> v & 1:
+                        assert held >> v & 1 == reach[right, v] >> x & 1, (g, right, x, v)
+                        assert held >> v & 1 or reach[right | 1 << v, x] == held, (g, right, x, v)
 
 
 def test_exact_scol_matches_enumeration_on_all_n4_graphs():
