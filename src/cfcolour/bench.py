@@ -14,12 +14,11 @@ from .generators import GenSpec, generate, parse_genspec
 from .graph import DataLines, Graph, load_graph
 from .reach import make_ordering
 
-BOUND_KINDS = ("scol2", "kplanar", "minor")
+BOUND_KINDS = ("scol2", "kplanar")
 
 
 def bound(kind: str, x: int) -> int:
-    """Palette-size guarantees: by back-reach at radius 2, by crossings per
-    edge for k-planar graphs, and by excluded-clique-minor order."""
+    """Palette-size guarantees: by back-reach at radius 2, and by crossings per edge (k-planar)."""
     if kind == "scol2":
         if x < 1:
             raise ValueError(f"scol2 bound needs x >= 1, got {x}")
@@ -28,10 +27,6 @@ def bound(kind: str, x: int) -> int:
         if x < 0:
             raise ValueError(f"kplanar bound needs x >= 0, got {x}")
         return 60 * x + 59
-    if kind == "minor":
-        if x < 3:  # the K_t-minor-free bound gives no palette for t = 2
-            raise ValueError(f"minor bound needs x >= 3, got {x}")
-        return 5 * (x - 1) * (x - 2) - 1
     raise ValueError(f"unknown bound kind {kind!r}, expected one of {BOUND_KINDS}")
 
 

@@ -78,12 +78,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         ordered, lu, lv = True, 0, 0
         for u, v in edges:
             if not 0 < u < v <= n:
-                if not (1 <= u <= n):
-                    raise ValueError(f"edge ({u},{v}): endpoint {u} out of range 1..{n}")
-                if not (1 <= v <= n):
-                    raise ValueError(f"edge ({u},{v}): endpoint {v} out of range 1..{n}")
-                if u == v:
-                    raise ValueError(f"edge ({u},{v}): self-loop")
+                if not 0 < v < u <= n:
+                    raise ValueError(_edge_error(n, u, v))
                 ordered = False
             elif ordered and not (lu < u or lu == u and lv < v):
                 ordered = False
@@ -100,6 +96,14 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     finally:
         if collecting:
             gc.enable()
+
+
+def _edge_error(n: int, u: int, v: int) -> str | None:
+    """Why (u, v) is no edge on 1..n (an endpoint out of range, u first, or a self-loop), or None."""
+    for w in (u, v):
+        if not 1 <= w <= n:
+            return f"edge ({u},{v}): endpoint {w} out of range 1..{n}"
+    return f"edge ({u},{v}): self-loop" if u == v else None
 
 
 def size_error(n: int, m: int, counts: str = "edge") -> str | None:
@@ -243,7 +247,15 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
                 fields[a:a + step] = map(ids.__getitem__, fields[a:a + step])
             except IndexError:
                 break
-    return build_graph(n, zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)))
+    try:
+        return build_graph(n, zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)))
+    except ValueError as err:
+        # Only on the error path: the line of the edge named out of range or a
+        # self-loop.  A duplicate edge or a negative count is raised as it is.
+        bad = (i for i, e in enumerate(zip(fields[2::2], fields[3::2]), 1) if _edge_error(n, *e) == str(err))
+        if (line := next(bad, None)) is None:
+            raise
+        raise lines.error(line, str(err)) from None
 
 
 def save_graph(g: Graph, fmt: str = "edgelist") -> str:

@@ -9,8 +9,11 @@ minimum back-reach over all orderings is the s-strong colouring number.
 Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
 come from one walk along the ordering (``_reach2``); the profile at other
 radii uses a breadth-first search per vertex (``_reach``).  The exact search
-keeps its vertex sets as ints, one bit per vertex, and hops over their bits;
-placing a vertex recomputes only the reach sets of the members of its own.
+keeps its vertex sets as ints, one bit per vertex, and hops over their bits.
+It and ``min_backreach_order`` build orderings right to left on one rule:
+given the placed vertices, reach between unplaced vertices is symmetric (read
+a path backwards), so placing v changes only the reach sets of the other
+members of v's own; a new path through v into another would reach v first.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
     vertex's stale keys exceed its current one and surface only after it is
     gone.  A key is the int ``degree * (n + 1) + id``, which orders as the
     pair ``(degree, id)`` does (ids are below n + 1) but compares and
-    allocates faster; ``divmod`` decodes it.  O(m log n) in all.
+    allocates faster; ``% (n + 1)`` decodes the id.  A removed vertex keeps
+    its degree at removal, so d is the largest degree left.  O(m log n).
     """
     adj = g.adjacency
     N = g.n + 1
@@ -178,20 +182,17 @@ def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:
     heap = [degree[v] * N + v for v in g.vertices]
     heapify(heap)
     removed: list[int] = []
-    d = 0
     while heap:
-        k, v = divmod(heappop(heap), N)
+        v = heappop(heap) % N
         if not alive[v]:
             continue
-        if k > d:
-            d = k
         alive[v] = False
         removed.append(v)
         for w in adj[v]:
             if alive[w]:
                 degree[w] -= 1
                 heappush(heap, degree[w] * N + w)
-    return VertexOrdering(tuple(reversed(removed))), d
+    return VertexOrdering(tuple(reversed(removed))), max(degree)
 
 
 def min_backreach_order(g: Graph) -> VertexOrdering:
@@ -206,12 +207,12 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     :func:`degeneracy_order`, a key is the int ``cost * (n + 1) + id``.
     The cost of u is the size of its reach set given the placed vertices: u,
     its unplaced neighbours, and the unplaced neighbours of its placed
-    neighbours.  That set is kept incrementally.  It is built as
-    ``{u, *adj[u]}`` the first time a neighbour of u is placed (until then the
-    cost is ``1 + deg(u)``).  When v is placed, each unplaced neighbour of v
-    drops v and gains v's unplaced neighbours, each unplaced neighbour of a
-    placed neighbour of v drops v, v's own set is freed, and every vertex
-    whose set size changed gets a new heap entry.
+    neighbours, kept incrementally: built as ``{u, *adj[u]}`` when a first
+    neighbour of u is placed (until then the cost is ``1 + deg(u)``).  When v
+    is placed, v's set is freed; by the module docstring's rule its other
+    members' sets are the ones that change.  Each drops v, those of v's
+    unplaced neighbours gain each other, and each whose size changed gets a
+    new heap entry.
     """
     adj = g.adjacency
     N = g.n + 1
@@ -227,24 +228,17 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
             continue
         placed[v] = True
         placed_rtl.append(v)
+        members = reach[v] or {v, *adj[v]}
         reach[v] = None
+        members.discard(v)
         fresh = [w for w in adj[v] if not placed[w]]
-        touched = set(fresh)
         for u in fresh:
-            members = reach[u]
-            if members is None:
-                members = reach[u] = {u, *adj[u]}
-            members.discard(v)
-            members.update(fresh)
-        for x in adj[v]:
-            if placed[x]:
-                for u in adj[x]:
-                    if not placed[u]:
-                        reach[u].discard(v)
-                        touched.add(u)
-        for u in touched:
-            size = len(reach[u])
-            if size != cost[u]:
+            if reach[u] is None:
+                reach[u] = {u, *adj[u]}
+            reach[u].update(fresh)
+        for u in members:
+            reach[u].discard(v)
+            if (size := len(reach[u])) != cost[u]:
                 cost[u] = size
                 heappush(heap, size * N + u)
     return VertexOrdering(tuple(reversed(placed_rtl)))
@@ -258,14 +252,12 @@ def _within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | Non
     # holds v's neighbours and `mask` the right-set.  An unplaced v reaches
     # itself and the unplaced vertices hit within radius hops, where only v
     # and right-set members are expanded, each at most once, as in _reach.
-    # Reach between unplaced vertices is symmetric (read a path backwards), so
-    # placing v changes only the sets of the other members of v's own; a new
-    # path through v into any other set would have to reach v first.  Each
-    # depth keeps every reach set (0 once placed), the unplaced vertices whose
-    # set has at most k members (`fits`) and those not yet tried, smallest id
-    # first; refresh() recomputes the sets in `stale` and updates `fits`.  A
-    # right-set whose every continuation failed goes into `dead`, so each
-    # right-set is expanded at most once.
+    # Placing v changes only the sets of the other members of v's own (the
+    # module docstring's rule).  Each depth keeps every reach set (0 once
+    # placed), the unplaced vertices whose set has at most k members (`fits`)
+    # and those not yet tried, smallest id first; refresh() recomputes the
+    # sets in `stale` and updates `fits`.  A right-set whose every
+    # continuation failed goes into `dead`, so each is expanded at most once.
     full = (1 << n + 1) - 2
     dead: set[int] = set()
     mask = 0
@@ -331,8 +323,8 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     the empty graph) is tested by a depth-first search for an ordering with
     back-reach at most k; the first k that has one is the value, and the
     ordering found is the witness.  The witness is one optimal ordering; only
-    the value is unique.  Reach is symmetric between unplaced vertices, so
-    placing one recomputes only the reach sets of the other members of its own.
+    the value is unique.  Placing a vertex recomputes only the reach sets of
+    the other members of its own (the symmetry rule in the module docstring).
     """
     _check_radius(radius)
     _check_limit(g, limit)

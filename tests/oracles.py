@@ -5,6 +5,7 @@ import gc
 import random
 from collections import Counter
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, islice, permutations, product
 from operator import lt
 from typing import Callable, Iterable, Literal, Sequence
@@ -200,6 +201,65 @@ def reference_min_backreach_order(g: Graph) -> VertexOrdering:
             affected.update(g.adjacency[u])
         for u in affected & remaining:
             cost[u] = _cost_given_right(g, u, right)
+    return VertexOrdering(tuple(reversed(placed_rtl)))
+
+
+# min_backreach_order before it updated only the members of the placed
+# vertex's own reach set: it found the sets that lose the placed vertex by
+# rescanning the adjacency of every placed neighbour.  Verbatim.
+def reference_incremental_min_backreach_order(g: Graph) -> VertexOrdering:
+    """Heuristic ordering aiming for a small back-reach at radius 2.
+
+    Builds the order right to left; each step places the unplaced vertex
+    whose radius-2 reach set (fully determined once everything to its right
+    is fixed) is smallest, ties to the smallest id.  No optimality guarantee.
+
+    The minimum comes from a heap with lazy deletion: a popped entry is
+    skipped when its vertex is placed or its cost is stale.  As in
+    :func:`degeneracy_order`, a key is the int ``cost * (n + 1) + id``.
+    The cost of u is the size of its reach set given the placed vertices: u,
+    its unplaced neighbours, and the unplaced neighbours of its placed
+    neighbours.  That set is kept incrementally.  It is built as
+    ``{u, *adj[u]}`` the first time a neighbour of u is placed (until then the
+    cost is ``1 + deg(u)``).  When v is placed, each unplaced neighbour of v
+    drops v and gains v's unplaced neighbours, each unplaced neighbour of a
+    placed neighbour of v drops v, v's own set is freed, and every vertex
+    whose set size changed gets a new heap entry.
+    """
+    adj = g.adjacency
+    N = g.n + 1
+    placed = [True] + [False] * g.n
+    cost = [len(a) + 1 for a in adj]
+    reach: list[set[int] | None] = [None] * N
+    heap = [cost[v] * N + v for v in g.vertices]
+    heapify(heap)
+    placed_rtl: list[int] = []
+    while heap:
+        k, v = divmod(heappop(heap), N)
+        if placed[v] or k != cost[v]:
+            continue
+        placed[v] = True
+        placed_rtl.append(v)
+        reach[v] = None
+        fresh = [w for w in adj[v] if not placed[w]]
+        touched = set(fresh)
+        for u in fresh:
+            members = reach[u]
+            if members is None:
+                members = reach[u] = {u, *adj[u]}
+            members.discard(v)
+            members.update(fresh)
+        for x in adj[v]:
+            if placed[x]:
+                for u in adj[x]:
+                    if not placed[u]:
+                        reach[u].discard(v)
+                        touched.add(u)
+        for u in touched:
+            size = len(reach[u])
+            if size != cost[u]:
+                cost[u] = size
+                heappush(heap, size * N + u)
     return VertexOrdering(tuple(reversed(placed_rtl)))
 
 
@@ -789,7 +849,8 @@ def reference_save_graph(g: Graph, fmt: str = "edgelist") -> str:
 # ordering and colouring readers name the line of a vertex out of range,
 # repeated, or with a colour outside the palette, and every reader names the
 # header's line for a count that does not match the body or a negative
-# palette, as the loaders do.
+# palette, as the loaders do; and the graph readers name the line of an edge
+# out of range or a self-loop.
 def int_pairs(rows: list[str]) -> list[tuple[int, int]]:
     """Rows of two integer fields, such as ``"u v"``, as int pairs."""
     return [(int(a), int(b)) for a, b in map(str.split, rows)]
@@ -833,6 +894,19 @@ class DataLines:
             raise
 
 
+def _build_naming_line(lines: DataLines, n: int, pairs: list[tuple[int, int]]) -> Graph:
+    # build_graph, with the line of the edge it names out of range or a
+    # self-loop: the first such edge.
+    try:
+        return build_graph(n, pairs)
+    except ValueError as err:
+        if n >= 0:
+            for i, (u, v) in enumerate(pairs, 1):
+                if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                    raise lines.error(i, str(err)) from None
+        raise
+
+
 def reference_parse_edgelist(source: str) -> Graph:
     lines = DataLines("edgelist", source)
     if not lines.rows:
@@ -842,7 +916,7 @@ def reference_parse_edgelist(source: str) -> Graph:
         raise lines.error(0, reason)
     if len(lines.rows) - 1 != m:
         raise lines.error(0, f"header declares {m} edges but body has {len(lines.rows) - 1} lines")
-    return build_graph(n, lines.ints(1, None, "line", "u v", int_pairs))
+    return _build_naming_line(lines, n, lines.ints(1, None, "line", "u v", int_pairs))
 
 
 def reference_parse_dimacs(source: str) -> Graph:
@@ -863,8 +937,8 @@ def reference_parse_dimacs(source: str) -> Graph:
         raise lines.error(0, reason)
     if len(rows) - 1 != m:
         raise lines.error(0, f"problem line declares {m} edges but found {len(rows) - 1}")
-    return build_graph(n, lines.ints(1, None, "line", "e u v",
-                                     lambda r: [(int(u), int(v)) for _, u, v in map(str.split, r)]))
+    return _build_naming_line(lines, n, lines.ints(1, None, "line", "e u v",
+                                                   lambda r: [(int(u), int(v)) for _, u, v in map(str.split, r)]))
 
 
 def reference_parse_ordering(source: str) -> VertexOrdering:

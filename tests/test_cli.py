@@ -234,6 +234,15 @@ def test_input_errors_name_file_and_line(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_graph_content_errors_name_file_and_line(tmp_path, capsys):
+    graph = tmp_path / "bad.el"
+    graph.write_text("3 2\n1 2\n2 5\n")
+    assert main(["scol", "--graph", str(graph), "--s", "2", "--strategy", "identity"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {graph}: edgelist: edge (2,5): endpoint 5 out of range 1..3 at line 3\n"
+    )
+
+
 def test_exact_variants(tmp_path, capsys):
     graph = write_graph(tmp_path, "c5.el", GenSpec("cycle", (5,)))
     assert main(["exact", "--graph", graph, "--variant", "conflict_free"]) == 0

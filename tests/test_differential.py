@@ -43,6 +43,7 @@ from oracles import (
     reference_exact_chromatic,
     reference_exact_scol,
     reference_greedy_cf_colouring,
+    reference_incremental_min_backreach_order,
     reference_mask_within,
     reference_min_backreach_order,
     reference_parse_colouring,
@@ -116,6 +117,22 @@ def test_heap_orderers_match_reference_code(g):
 @corpus_families
 def test_heap_orderers_match_reference_code_on_corpus_families(family, params, seed):
     assert_orderers_match_references(generate(GenSpec(family, params, seed)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GenSpec("grid", (50, 60))]
+    + [GenSpec(family, params, seed) for family, params in [("planar3tree", (3000,)), ("gnp", (3000, 0.001))]
+       for seed in (1, 2, 3)]
+    + [GenSpec("complete_bipartite", (5, 400)), GenSpec("star", (2000,))],
+    ids=lambda spec: spec.graph_id,
+)
+def test_heap_orderers_match_reference_code_at_corpus_scale(spec):
+    # At the bench corpus's size, n = 3000, and on hubs (a star, a complete
+    # bipartite graph), where min_backreach_order's kept reach sets grow largest.
+    g = generate(spec)
+    assert min_backreach_order(g) == reference_incremental_min_backreach_order(g)
+    assert degeneracy_order(g) == reference_degeneracy_order(g)
 
 
 def assert_greedy_matches_references(g, ordering):

@@ -184,8 +184,18 @@ def test_load_edgelist_out_of_range_endpoint():
         ("# n m\n\n3\n", "edgelist: malformed header '3' at line 3, expected 'n m'"),
         ("3 2\n1 2\n# next\n2 x\n", "edgelist: malformed line '2 x' at line 4, expected 'u v'"),
         ("3 1\n\n1 2 3\n", "malformed line '1 2 3' at line 3"),
-        # -1 is a field of the line reader, and an endpoint out of range.
-        pytest.param("3 1\n-1 2\n", re.escape("edge (-1,2): endpoint -1 out of range 1..3"), id="negative field"),
+        # -1 is a field of the line reader, and an endpoint out of range.  An
+        # endpoint out of range or a self-loop is named with its line, read
+        # in one pass or line by line; a duplicate edge or a negative vertex
+        # count is no one line's fault.
+        pytest.param("3 1\n-1 2\n", re.escape("edgelist: edge (-1,2): endpoint -1 out of range 1..3 at line 2") + "$",
+                     id="negative field"),
+        pytest.param("3 2\n1 2\n2 5\n", re.escape("edgelist: edge (2,5): endpoint 5 out of range 1..3 at line 3") + "$",
+                     id="one pass"),
+        pytest.param("# a path\n3 2\n1 2\n3 3\n", re.escape("edgelist: edge (3,3): self-loop at line 4") + "$",
+                     id="comment line"),
+        pytest.param("3 2\n2 1\n1 2\n", re.escape("duplicate edge (1, 2)") + "$", id="duplicate"),
+        pytest.param("-1 1\n1 2\n", "^vertex count must be non-negative, got -1$", id="negative count"),
     ],
 )
 def test_load_edgelist_errors(text, fragment):
@@ -211,6 +221,7 @@ def test_load_edgelist_errors(text, fragment):
         ("p edge 2 1\nc\ne 1 2\np edge 2 1\n", "dimacs: repeated 'p' line at line 4"),
         ("p edge 2 1\nc\ne 1 x\n", "dimacs: malformed line 'e 1 x' at line 3, expected 'e u v'"),
         ("p edge 4 3\ne 1 2\ne 2 3\ne 3 x\n", "dimacs: malformed line 'e 3 x' at line 4, expected 'e u v'"),
+        ("c a path\np edge 3 2\ne 0 2\ne 1 2\n", re.escape("dimacs: edge (0,2): endpoint 0 out of range 1..3 at line 3")),
     ],
 )
 def test_load_dimacs_errors(text, fragment):

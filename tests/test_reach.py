@@ -184,12 +184,13 @@ def test_profile_huge_radius_stops_on_empty_frontier(g):
 
 @pytest.mark.parametrize(
     "g, want_d",
-    [(path(4), 1), (complete(4), 3), (cycle(5), 2)],
+    [(path(4), 1), (complete(4), 3), (cycle(5), 2), (build_graph(0, []), 0)],
 )
 def test_degeneracy_examples(g, want_d):
     ordering, d = degeneracy_order(g)
     assert d == want_d
-    assert max(back_reach_profile(g, ordering, 1)) == d + 1
+    # d + 1 <= n, and the empty graph's back-reach is 0.
+    assert max(back_reach_profile(g, ordering, 1)) == min(d + 1, g.n)
 
 
 def test_degeneracy_single_vertex():
