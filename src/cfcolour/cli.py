@@ -1,10 +1,10 @@
 """Command-line front end: gen, scol, colour, verify, exact, bench.
 
 Paths given as "-" read standard input or write standard output, and at most
-one input may be "-".  Exit codes: 0 on success, 1 when a verification or
-bound predicate fails, 2 on usage or input errors (a parse error names the
-file and line), 3 on an internal error (any other exception, such as an
-exhausted greedy palette).
+one input may be "-".  Exit codes: 0 on success, also when the reader of
+standard output leaves early (``| head``), 1 when a verification or bound
+predicate fails, 2 on usage or input errors (a parse error names the file and
+line), 3 on an internal error (any other exception).
 
 The exact searches are iterative, so no n within ``--limit`` reaches the
 recursion limit.  ``scol --exact`` counts up from degeneracy + 1 to the first
@@ -15,6 +15,7 @@ colour as soon as it completes a neighbourhood that fails the variant.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -182,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{' and '.join(stdin)} cannot both read standard input")
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: point stdout at devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

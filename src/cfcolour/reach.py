@@ -99,30 +99,25 @@ def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radiu
 
 def _reach2(
     adjacency: Sequence[Sequence[int]], ordering: VertexOrdering
-) -> Iterator[tuple[int, set[int], Sequence[int]]]:
-    # The radius-2 reach sets along ordering.seq, with no search: yields
-    # (v, reach, earlier), where earlier lists v's neighbours before it in
-    # that order, or is ().  coloured[u] lists u's neighbours yielded so far
-    # while u is not (None when empty, and once u is yielded).  At v's turn
-    # the list of each later neighbour u holds the ends w of the paths v-u-w
-    # with w before v, so the reach set is v, its own list and those lists.
+) -> Iterator[tuple[int, set[int], tuple[int, ...]]]:
+    # Yields (v, reach, earlier) along ordering.seq, with earlier the tuple of
+    # v's neighbours before it.  Until u is yielded, coloured[u] is the tuple
+    # of its neighbours yielded so far, grown from the one shared ().  At v's
+    # turn the tuple of a later neighbour u holds the ends w of the paths v-u-w;
+    # it joins v's reach set before the copy that appends v, which costs no more.
     pos = ordering.pos
-    coloured: list[list[int] | None] = [None] * len(adjacency)
+    coloured: list[tuple[int, ...]] = [()] * len(adjacency)
     for v in ordering.seq:
-        reach = {v}
-        earlier = coloured[v] or ()
-        if earlier:
-            reach.update(earlier)
-            coloured[v] = None
+        earlier = coloured[v]
+        coloured[v] = ()
+        reach = {v, *earlier}
         pv = pos[v]
         for u in adjacency[v]:
             if pos[u] > pv:
                 later = coloured[u]
                 if later:
                     reach.update(later)
-                    later.append(v)
-                else:
-                    coloured[u] = [v]
+                coloured[u] = later + (v,)
         yield v, reach, earlier
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, islice, permutations, product
 from operator import lt
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
@@ -147,6 +147,38 @@ def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int)
 
 def reference_profile_sizes(g: Graph, ordering: VertexOrdering, radius: int) -> dict[int, int]:
     return {v: len(reference_reach_set(g, ordering, v, radius)) for v in g.vertices}
+
+
+# The radius-2 walk before it kept each vertex's coloured neighbours as a
+# tuple: a list per vertex with a coloured neighbour, None otherwise.
+# Verbatim.
+def reference_list_reach2(
+    adjacency: Sequence[Sequence[int]], ordering: VertexOrdering
+) -> Iterator[tuple[int, set[int], Sequence[int]]]:
+    # The radius-2 reach sets along ordering.seq, with no search: yields
+    # (v, reach, earlier), where earlier lists v's neighbours before it in
+    # that order, or is ().  coloured[u] lists u's neighbours yielded so far
+    # while u is not (None when empty, and once u is yielded).  At v's turn
+    # the list of each later neighbour u holds the ends w of the paths v-u-w
+    # with w before v, so the reach set is v, its own list and those lists.
+    pos = ordering.pos
+    coloured: list[list[int] | None] = [None] * len(adjacency)
+    for v in ordering.seq:
+        reach = {v}
+        earlier = coloured[v] or ()
+        if earlier:
+            reach.update(earlier)
+            coloured[v] = None
+        pv = pos[v]
+        for u in adjacency[v]:
+            if pos[u] > pv:
+                later = coloured[u]
+                if later:
+                    reach.update(later)
+                    later.append(v)
+                else:
+                    coloured[u] = [v]
+        yield v, reach, earlier
 
 
 def reference_degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:

@@ -1,5 +1,9 @@
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +347,25 @@ def test_bench_missing_graph_file_exit_2(tmp_path, capsys):
     corpus.write_text("no/such/file.el\n")
     assert main(["bench", "--corpus", str(corpus), "--strategies", "identity"]) == 2
     assert "file.el" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly_with_exit_0(tmp_path):
+    # As `scol --verbose | head -n 1` does: the reader takes the first line of
+    # about 360 KB of output, far more than a pipe buffers, and leaves, so a
+    # later write meets a closed pipe.  The command runs in its own process,
+    # so the interpreter's exit flush is checked too.
+    graph = write_graph(tmp_path, "grid.el", GenSpec("grid", (200, 200)))
+    src = str(Path(cfcolour.colouring.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = ["scol", "--graph", graph, "--s", "2", "--strategy", "identity", "--verbose"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "cfcolour", *command], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline() == b"4\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_pipe_gen_into_colour(monkeypatch, capsys):

@@ -34,7 +34,7 @@ from cfcolour import (
 )
 from cfcolour.colouring import CRITERIA, _violations
 from cfcolour.graph import DataLines
-from cfcolour.reach import _reach
+from cfcolour.reach import _reach, _reach2
 from oracles import (
     all_graphs,
     reference_bfs_greedy_cf_colouring,
@@ -44,6 +44,7 @@ from oracles import (
     reference_exact_scol,
     reference_greedy_cf_colouring,
     reference_incremental_min_backreach_order,
+    reference_list_reach2,
     reference_mask_within,
     reference_min_backreach_order,
     reference_parse_colouring,
@@ -159,6 +160,28 @@ def test_greedy_matches_reference_code_on_corpus_families(family, params, seed):
     g = generate(GenSpec(family, params, seed))
     for strategy in ("degeneracy", "min_backreach", f"random({seed})"):
         assert_greedy_matches_references(g, make_ordering(g, strategy))
+
+
+@pytest.mark.parametrize(
+    "spec, strategy",
+    [
+        (spec, strategy)
+        for spec in (GenSpec("grid", (50, 60)), GenSpec("planar3tree", (3000,), 1), GenSpec("gnp", (3000, 0.001), 1))
+        for strategy in ("degeneracy", "min_backreach", "random(1)")
+    ]
+    + [(GenSpec("star", (2000,)), "reverse"), (GenSpec("complete_bipartite", (5, 400)), "reverse")],
+    ids=lambda x: x.graph_id if isinstance(x, GenSpec) else x,
+)
+def test_tuple_walk_matches_the_list_walk(spec, strategy):
+    # The bench corpus's three graphs under its three strategies, and hubs
+    # placed last, where each hub's tuple of coloured neighbours is copied on
+    # every append.  The two walks are compared a step at a time, so the
+    # hubs' large reach sets are never all held at once.
+    g = generate(spec)
+    ordering = make_ordering(g, strategy)
+    walks = zip(_reach2(g.adjacency, ordering), reference_list_reach2(g.adjacency, ordering), strict=True)
+    for (v, reach, earlier), (w, want, want_earlier) in walks:
+        assert (v, reach, list(earlier)) == (w, want, list(want_earlier))
 
 
 @st.composite

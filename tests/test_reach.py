@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from cfcolour import (
     degeneracy_order,
     exact_scol,
     generate,
+    greedy_cf_colouring,
     load_ordering,
     make_ordering,
     min_backreach_order,
@@ -336,3 +338,24 @@ def test_exact_scol_matches_enumeration_on_all_n4_graphs():
     for g in all_graphs(4):
         for s in (1, 2, 3):
             assert exact_scol(g, s)[0] == enumerate_scol(g, s)
+
+
+# The walk keeps, for each vertex not yet yielded, a tuple of its neighbours
+# yielded so far; every slot starts as the one shared empty tuple.  Measured on
+# Python 3.11 along identity, the profile peaked at 47-57 bytes per vertex and
+# the greedy at 55; the list per vertex it replaced, with its over-allocation,
+# peaked at 93 and 101.
+WALK_BYTES_PER_VERTEX = 75
+
+
+def test_radius2_walk_memory_per_vertex():
+    g = generate(GenSpec("planar3tree", (20000,), seed=1))
+    ordering = VertexOrdering.identity(g.n)
+    for run in (lambda: back_reach_profile(g, ordering, 2), lambda: greedy_cf_colouring(g, ordering)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g.n < WALK_BYTES_PER_VERTEX, peak / g.n
