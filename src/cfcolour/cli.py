@@ -8,8 +8,11 @@ line), 3 on an internal error (any other exception).
 
 The exact searches are iterative, so no n within ``--limit`` reaches the
 recursion limit.  ``scol --exact`` counts up from degeneracy + 1 to the first
-value that has an ordering, and profiles that ordering; ``exact`` rejects a
-colour as soon as it completes a neighbourhood that fails the variant.
+value that has an ordering, searching only what is left after peeling
+vertices whose neighbourhood is a small clique, and profiles that ordering:
+one optimal witness of many, with the peeled vertices last.  ``exact``
+rejects a colour as soon as it completes a neighbourhood that fails the
+variant.
 """
 
 from __future__ import annotations

@@ -14,6 +14,25 @@ It and ``min_backreach_order`` build orderings right to left on one rule:
 given the placed vertices, reach between unplaced vertices is symmetric (read
 a path backwards), so placing v changes only the reach sets of the other
 members of v's own; a new path through v into another would reach v first.
+
+Before each search for an ordering with back-reach at most k, the exact
+search peels the graph: it repeatedly removes a vertex whose remaining
+neighbourhood is a clique of at most k - 1 vertices (the simplicial rule of
+treewidth preprocessing), and searches only the rest, the core.  Placing the
+peeled vertices at the right end, the first peeled rightmost, after the
+core's ordering keeps the back-reach, at every radius:
+
+- a peeled vertex reaches itself and its neighbours left when it was peeled,
+  at most k vertices: a path out of it whose interior lies to its right
+  passes only through vertices peeled before it, and
+- a core vertex's reach set is the same in the graph as in the core: on a
+  path through peeled vertices, the one peeled first has its two path
+  neighbours in its clique, so the path shortcuts past it.
+
+Conversely, any ordering of the graph, restricted to the core, gives each
+core vertex a subset of its reach set in the graph (the core is an induced
+subgraph).  So the graph has an ordering with back-reach at most k exactly
+when the core has one.
 """
 
 from __future__ import annotations
@@ -239,21 +258,54 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     return VertexOrdering(tuple(reversed(placed_rtl)))
 
 
-def _within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | None:
-    # An ordering with back-reach at most k, as the vertices placed right to
-    # left, or None.  Depth-first over right-sets: a vertex may be placed only
-    # while its reach set, fixed once everything to its right is, has at most
-    # k members.  Every vertex set is an int with bit v for vertex v: nbrs[v]
-    # holds v's neighbours and `mask` the right-set.  An unplaced v reaches
-    # itself and the unplaced vertices hit within radius hops, where only v
-    # and right-set members are expanded, each at most once, as in _reach.
-    # Placing v changes only the sets of the other members of v's own (the
-    # module docstring's rule).  Each depth keeps every reach set (0 once
+def _peel(nbrs: Sequence[int], k: int) -> tuple[int, list[int]]:
+    # The core left by peeling at k (the module docstring's rule), as a mask,
+    # and the peeled vertices in the order they went.  Peeling only shrinks
+    # neighbourhoods, so a vertex that can go stays able to, and the core is
+    # the same whichever goes first.  Vertices are looked at smallest id
+    # first, and again, right away, when a neighbour goes.  A neighbourhood
+    # of k or more is rejected before the clique test (exact_scol's k exceeds
+    # the degeneracy, so no such neighbourhood is a clique).
+    core = sum(1 << v for v in range(1, len(nbrs)))
+    peeled: list[int] = []
+    todo = list(range(len(nbrs) - 1, 0, -1))
+    while todo:
+        x = todo.pop()
+        hood = nbrs[x] & core
+        if not core >> x & 1 or hood.bit_count() >= k:
+            continue
+        unchecked = hood
+        while unchecked:
+            bit = unchecked & -unchecked
+            unchecked ^= bit
+            if hood & ~nbrs[bit.bit_length() - 1] != bit:
+                break
+        else:
+            core ^= 1 << x
+            peeled.append(x)
+            while hood:
+                bit = hood & -hood
+                hood ^= bit
+                todo.append(bit.bit_length() - 1)
+    return core, peeled
+
+
+def _within(nbrs: Sequence[int], full: int, radius: int, k: int) -> list[int] | None:
+    # An ordering of the vertices in `full` with back-reach at most k, as the
+    # vertices placed right to left, or None; exact_scol passes the core that
+    # _peel leaves (the module docstring's peel rule).  Depth-first over
+    # right-sets: a vertex may be placed only while its reach set, fixed once
+    # everything to its right is, has at most k members.  Every vertex set is
+    # an int with bit v for vertex v: nbrs[v] holds v's neighbours in `full`
+    # and `mask` the right-set.  An unplaced v reaches itself and the
+    # unplaced vertices hit within radius hops, where only v and right-set
+    # members are expanded, each at most once, as in _reach.  Placing v
+    # changes only the sets of the other members of v's own (the module
+    # docstring's symmetry rule).  Each depth keeps every reach set (0 once
     # placed), the unplaced vertices whose set has at most k members (`fits`)
     # and those not yet tried, smallest id first; refresh() recomputes the
     # sets in `stale` and updates `fits`.  A right-set whose every
     # continuation failed goes into `dead`, so each is expanded at most once.
-    full = (1 << n + 1) - 2
     dead: set[int] = set()
     mask = 0
     placed_rtl: list[int] = []
@@ -283,7 +335,7 @@ def _within(nbrs: Sequence[int], n: int, radius: int, k: int) -> list[int] | Non
             fits = fits | bit if found.bit_count() <= k else fits & ~bit
         return fits
 
-    reach = [0] * (n + 1)
+    reach = [0] * len(nbrs)
     fits = refresh(reach, 0, full)
     stack = [(reach, fits, fits)]
     while stack:
@@ -316,18 +368,22 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     The value is at least degeneracy + 1 (which is scol_1, and scol_1 <=
     scol_s) and at most n.  Each k from ``min(degeneracy + 1, n)`` up (0 for
     the empty graph) is tested by a depth-first search for an ordering with
-    back-reach at most k; the first k that has one is the value, and the
-    ordering found is the witness.  The witness is one optimal ordering; only
-    the value is unique.  Placing a vertex recomputes only the reach sets of
-    the other members of its own (the symmetry rule in the module docstring).
+    back-reach at most k; the first k that has one is the value.  Each search
+    runs on the core left by peeling at k, and the witness is the core's
+    ordering followed by the peeled vertices, the first peeled rightmost (the
+    peel rule in the module docstring).  The witness is one optimal ordering;
+    only the value is unique.  Placing a vertex recomputes only the reach sets
+    of the other members of its own (the module docstring's symmetry rule).
     """
     _check_radius(radius)
     _check_limit(g, limit)
     nbrs = [sum(1 << w for w in a) for a in g.adjacency]
     k = min(degeneracy_order(g)[1] + 1, g.n)
-    while (placed_rtl := _within(nbrs, g.n, radius, k)) is None:
+    while True:
+        core, peeled = _peel(nbrs, k)
+        if (placed_rtl := _within([m & core for m in nbrs], core, radius, k)) is not None:
+            return k, VertexOrdering(tuple(reversed(peeled + placed_rtl)))
         k += 1
-    return k, VertexOrdering(tuple(reversed(placed_rtl)))
 
 
 STRATEGIES = ("identity", "reverse", "random", "degeneracy", "min_backreach")

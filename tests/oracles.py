@@ -10,10 +10,10 @@ from itertools import combinations, islice, permutations, product
 from operator import lt
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
-from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph
+from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph, degeneracy_order
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
 from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
-from cfcolour.reach import _check_covers, _reach
+from cfcolour.reach import _check_covers, _check_limit, _check_radius, _reach, _within
 
 
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
@@ -428,6 +428,21 @@ def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, V
                 break
     best.cache_clear()
     return value, VertexOrdering(tuple(reversed(placed_rtl)))
+
+
+# exact_scol as it was before it peeled: the count-up runs _within on the
+# whole graph, so its witnesses are those of the search alone.
+
+
+def reference_unpeeled_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrdering]:
+    _check_radius(radius)
+    _check_limit(g, limit)
+    nbrs = [sum(1 << w for w in a) for a in g.adjacency]
+    full = (1 << g.n + 1) - 2
+    k = min(degeneracy_order(g)[1] + 1, g.n)
+    while (placed_rtl := _within(nbrs, full, radius, k)) is None:
+        k += 1
+    return k, VertexOrdering(tuple(reversed(placed_rtl)))
 
 
 # exact_scol's search as it was before it kept its vertex sets as ints:

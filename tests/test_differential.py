@@ -34,7 +34,7 @@ from cfcolour import (
 )
 from cfcolour.colouring import CRITERIA, _violations
 from cfcolour.graph import DataLines
-from cfcolour.reach import _reach, _reach2
+from cfcolour.reach import _peel, _reach, _reach2
 from oracles import (
     all_graphs,
     reference_bfs_greedy_cf_colouring,
@@ -54,6 +54,7 @@ from oracles import (
     reference_profile_sizes,
     reference_save_graph,
     reference_two_path_build_graph,
+    reference_unpeeled_exact_scol,
     reference_verify_colouring,
     reference_within,
 )
@@ -239,8 +240,10 @@ def test_exact_scol_searches_without_the_heuristic(monkeypatch):
 
 
 def test_exact_scol_matches_the_list_search():
-    # The int-set search gives the list search's value and witness: every
-    # graph on 5 vertices, the empty graph and the exact workload's panel.
+    # The int-set search over the whole graph gives the list search's value
+    # and witness: every graph on 5 vertices, the empty graph and the exact
+    # workload's panel.  exact_scol, which searches only the core left by the
+    # peel, gives the same value with a witness that attains it.
     graphs = [*all_graphs(5), build_graph(0, [])]
     for s in range(3):
         graphs += [generate(GenSpec("planar3tree", (17,), seed=s)), generate(GenSpec("gnp", (20, 0.2), seed=s))]
@@ -249,13 +252,16 @@ def test_exact_scol_matches_the_list_search():
             k = min(degeneracy_order(g)[1] + 1, g.n)
             while (placed_rtl := reference_within(g.adjacency, g.n, radius, k)) is None:
                 k += 1
-            value, witness = exact_scol(g, radius, limit=g.n)
+            value, witness = reference_unpeeled_exact_scol(g, radius, limit=g.n)
             assert (value, witness.seq) == (k, tuple(reversed(placed_rtl))), (g, radius)
+            value, witness = exact_scol(g, radius, limit=g.n)
+            assert value == k == max(back_reach_profile(g, witness, radius), default=0), (g, radius)
 
 
 def test_exact_scol_matches_the_int_set_search_on_deeper_graphs():
     # The search that keeps each depth's reach sets gives the value and
-    # witness of the one that recomputes them all, past the panel's n = 20.
+    # witness of the one that recomputes them all, past the panel's n = 20,
+    # both over the whole graph; exact_scol on the core gives the same value.
     cases = [
         (GenSpec("gnp", (24, 0.2), seed=1), {1: 4, 2: 6, 3: 7}),
         (GenSpec("gnp", (26, 0.15), seed=1), {1: 4, 2: 5}),
@@ -267,8 +273,34 @@ def test_exact_scol_matches_the_int_set_search_on_deeper_graphs():
             k = min(degeneracy_order(g)[1] + 1, g.n)
             while (placed_rtl := reference_mask_within(nbrs, g.n, radius, k)) is None:
                 k += 1
-            got, witness = exact_scol(g, radius, limit=g.n)
+            got, witness = reference_unpeeled_exact_scol(g, radius, limit=g.n)
             assert (got, witness.seq) == (value, tuple(reversed(placed_rtl))) and k == value, (spec, radius)
+            got, witness = exact_scol(g, radius, limit=g.n)
+            assert got == value == max(back_reach_profile(g, witness, radius)), (spec, radius)
+
+
+def test_exact_scol_peels_to_the_same_value():
+    # Searching only the core left by peeling gives the value of the search
+    # over all orderings, with a witness that attains it: every graph on 5
+    # vertices and a seeded sample of those on 6, at radii 1-3.  Chordal
+    # graphs peel away whole at k = d + 1, which is then the value.
+    pairs = list(combinations(range(1, 7), 2))
+    rng = random.Random(6)
+    graphs = [*all_graphs(5)]
+    graphs += [build_graph(6, [e for e in pairs if rng.random() < 0.5]) for _ in range(1000)]
+    for g in graphs:
+        for radius in (1, 2, 3):
+            value, witness = exact_scol(g, radius)
+            assert value == reference_exact_scol(g, radius)[0], (g, radius)
+            assert max(back_reach_profile(g, witness, radius), default=0) == value, (g, radius)
+    for spec in (GenSpec("complete", (12,)), GenSpec("path", (500,)), GenSpec("planar3tree", (300,), seed=1)):
+        g = generate(spec)
+        d = degeneracy_order(g)[1]
+        nbrs = [sum(1 << w for w in a) for a in g.adjacency]
+        core, peeled = _peel(nbrs, d + 1)
+        assert core == 0 and sorted(peeled) == list(g.vertices), spec
+        value, witness = exact_scol(g, 2, limit=g.n)
+        assert value == d + 1 == max(back_reach_profile(g, witness, 2)), spec
 
 
 def test_exact_scol_searches_without_a_reach_bfs(monkeypatch):

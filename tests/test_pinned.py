@@ -25,6 +25,7 @@ from cfcolour import (
     save_colouring,
     save_ordering,
 )
+from oracles import reference_unpeeled_exact_scol
 
 CORPUS = [
     GenSpec("grid", (50, 60)),
@@ -77,12 +78,35 @@ def test_back_reach_profiles_are_pinned():
     assert sha256(text) == "bed9309934abf7a5c821da06a2cf67608b5e30f88852c5926e0eba1cf42727e7"
 
 
+EXACT_PANEL = [
+    GenSpec(family, params, seed=seed)
+    for seed in range(3)
+    for family, params in (("planar3tree", (17,)), ("gnp", (20, 0.2)))
+]
+
+
+def test_exact_scol_values_are_pinned():
+    # The exact workload's panel at radius 2.  Values are unique, so they
+    # stay pinned whatever witness the search finds; each witness attains its value.
+    values = []
+    for spec in EXACT_PANEL:
+        g = generate(spec)
+        value, witness = exact_scol(g, 2, limit=g.n)
+        assert max(back_reach_profile(g, witness, 2)) == value, spec
+        values.append(value)
+    assert values == [4, 4, 4, 5, 4, 5]
+
+
 def test_exact_scol_witnesses_are_pinned():
-    # The exact workload's panel at radius 2: values 4-5, and every witness.
-    parts = []
-    for seed in range(3):
-        for spec in (GenSpec("planar3tree", (17,), seed=seed), GenSpec("gnp", (20, 0.2), seed=seed)):
+    # The same panel's witnesses, from the search on the peeled core, and
+    # those of the search over the whole graph (recorded before the peel).
+    for search, want in (
+        (exact_scol, "2fb9bea91752b881f256d63f21bd9314f4b651ca5031ae8e125359b490c3361f"),
+        (reference_unpeeled_exact_scol, "7689ba0964e5c251db0119f7b578fe754a700062c3276f44f57508f9f85760fe"),
+    ):
+        parts = []
+        for spec in EXACT_PANEL:
             g = generate(spec)
-            value, witness = exact_scol(g, 2, limit=g.n)
+            value, witness = search(g, 2, limit=g.n)
             parts.append(f"{value}\n" + save_ordering(witness))
-    assert sha256("".join(parts)) == "7689ba0964e5c251db0119f7b578fe754a700062c3276f44f57508f9f85760fe"
+        assert sha256("".join(parts)) == want, search.__name__
