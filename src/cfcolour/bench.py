@@ -98,7 +98,6 @@ def run_corpus(
             start = time.perf_counter()
             ordering = make_ordering(g, strategy)
             col = greedy_cf_colouring(g, ordering)
-            r2 = (col.palette + 1) // 2  # the palette is 2 * r2 - 1, or 0 with r2 = 0 for n = 0
             first = _violations(g, col.colours)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             records.append(
@@ -108,9 +107,9 @@ def run_corpus(
                     n=g.n,
                     m=g.m,
                     strategy=strategy,
-                    r2=r2,
+                    r2=(col.palette + 1) // 2,  # the palette is 2 * r2 - 1, or 0 with r2 = 0 for n = 0
                     colours_used=col.used,
-                    bound_thm1=bound("scol2", r2) if r2 >= 1 else 1,
+                    bound_thm1=col.palette or 1,
                     proper_ok=first["proper"] is None,
                     odd_ok=first["odd"] is None,
                     cf_ok=first["conflict_free"] is None,

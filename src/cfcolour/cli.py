@@ -7,12 +7,9 @@ predicate fails, 2 on usage or input errors (a parse error names the file and
 line), 3 on an internal error (any other exception).
 
 The exact searches are iterative, so no n within ``--limit`` reaches the
-recursion limit.  ``scol --exact`` counts up from degeneracy + 1 to the first
-value that has an ordering, searching only what is left after peeling
-vertices whose neighbourhood is a small clique, and profiles that ordering:
-one optimal witness of many, with the peeled vertices last.  ``exact``
-rejects a colour as soon as it completes a neighbourhood that fails the
-variant.
+recursion limit.  ``scol --exact`` profiles the witness ordering of
+:func:`cfcolour.reach.exact_scol`, where the search is described: one optimal
+witness of many, with the peeled vertices last.
 """
 
 from __future__ import annotations
@@ -196,6 +193,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,13 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Collection, Literal, Sequence
+from typing import Collection, Literal, Sequence, get_args
 
 from .graph import DataLines, Graph
 from .reach import VertexOrdering, _check_covers, _check_limit, _reach2
 
 Criterion = Literal["proper", "odd", "conflict_free"]
-CRITERIA = ("proper", "odd", "conflict_free")
+CRITERIA = get_args(Criterion)
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,6 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
     neighbour or, when it has none, the first neighbour coloured after v.
     """
     _check_covers(g, ordering)
-    if g.n == 0:
-        return Colouring(colours=(), palette=0)
-
     colour_of = [0] * (g.n + 1)
     first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour once both are coloured, else 0
     colour = colour_of.__getitem__  # bound once, for the lookups behind each blocked set
@@ -88,8 +85,8 @@ def greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouring:
             choice += 1
         colour_of[v] = choice
 
-    try:  # n >= 1 gives r >= 1, and Theorem 1 keeps every colour in 1..2r - 1
-        return Colouring(colours=tuple(colour_of[1:]), palette=2 * r - 1)
+    try:  # Theorem 1 keeps every colour in 1..2r - 1; r = 0 only when n = 0
+        return Colouring(colours=tuple(colour_of[1:]), palette=max(2 * r - 1, 0))
     except ValueError as err:
         raise RuntimeError(f"palette exhausted: {err}; this indicates a bug") from None
 
@@ -163,7 +160,6 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
         raise ValueError(f"unknown variant {variant!r}, expected one of {CRITERIA}")
     _check_limit(g, limit)
     n, adj = g.n, g.adjacency
-    earlier = [[w for w in a if w < v] for v, a in enumerate(adj)]
     # closes[v]: the vertices whose neighbourhood is fully coloured once v is.
     closes: list[list[int]] = [[] for _ in adj]
     if variant != "proper":
@@ -172,8 +168,8 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
                 closes[adj[w][-1]].append(w)
     odd = variant == "odd"
     for c in range(n + 1):
-        # colours[v] is v's current colour (0 while unset); used[v] is the
-        # largest colour among vertices 1..v-1.
+        # colours[v] is v's current colour, 0 while unset (so v's later
+        # neighbours block nothing); used[v] is the largest colour among 1..v-1.
         colours = [0] * (n + 1)
         used = [0] * (n + 2)
         v = 1
@@ -182,7 +178,7 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
             colour = colours[v] + 1
             while colour <= top:
                 colours[v] = colour
-                if all(colours[w] != colour for w in earlier[v]) and all(
+                if all(colours[w] != colour for w in adj[v]) and all(
                     _holds(Counter(colours[u] for u in adj[w]).values(), odd) for w in closes[v]
                 ):
                     break

@@ -217,20 +217,19 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     is fixed) is smallest, ties to the smallest id.  No optimality guarantee.
 
     The minimum comes from a heap with lazy deletion: a popped entry is
-    skipped when its vertex is placed or its cost is stale.  As in
-    :func:`degeneracy_order`, a key is the int ``cost * (n + 1) + id``.
-    The cost of u is the size of its reach set given the placed vertices: u,
-    its unplaced neighbours, and the unplaced neighbours of its placed
-    neighbours, kept incrementally: built as ``{u, *adj[u]}`` when a first
-    neighbour of u is placed (until then the cost is ``1 + deg(u)``).  When v
-    is placed, v's set is freed; by the module docstring's rule its other
-    members' sets are the ones that change.  Each drops v, those of v's
-    unplaced neighbours gain each other, and each whose size changed gets a
-    new heap entry.
+    skipped when its cost is stale.  As in :func:`degeneracy_order`, a key is
+    the int ``cost * (n + 1) + id``.  The cost of an unplaced u is the size of
+    its reach set given the placed vertices: u, its unplaced neighbours, and
+    the unplaced neighbours of its placed neighbours, kept incrementally:
+    built as ``{u, *adj[u]}`` when a first neighbour of u is placed (until
+    then the cost is ``1 + deg(u)``).  A placed vertex's cost is 0, so every
+    key of it is stale (a reach set holds its own vertex).  When v is placed,
+    v's set is freed; by the module docstring's rule its other members' sets
+    are the ones that change.  Each drops v, those of v's unplaced neighbours
+    gain each other, and each whose size changed gets a new heap entry.
     """
     adj = g.adjacency
     N = g.n + 1
-    placed = [True] + [False] * g.n
     cost = [len(a) + 1 for a in adj]
     reach: list[set[int] | None] = [None] * N
     heap = [cost[v] * N + v for v in g.vertices]
@@ -238,14 +237,14 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     placed_rtl: list[int] = []
     while heap:
         k, v = divmod(heappop(heap), N)
-        if placed[v] or k != cost[v]:
+        if k != cost[v]:
             continue
-        placed[v] = True
+        cost[v] = 0
         placed_rtl.append(v)
         members = reach[v] or {v, *adj[v]}
         reach[v] = None
         members.discard(v)
-        fresh = [w for w in adj[v] if not placed[w]]
+        fresh = [w for w in adj[v] if cost[w]]
         for u in fresh:
             if reach[u] is None:
                 reach[u] = {u, *adj[u]}
@@ -296,16 +295,17 @@ def _within(nbrs: Sequence[int], full: int, radius: int, k: int) -> list[int] | 
     # _peel leaves (the module docstring's peel rule).  Depth-first over
     # right-sets: a vertex may be placed only while its reach set, fixed once
     # everything to its right is, has at most k members.  Every vertex set is
-    # an int with bit v for vertex v: nbrs[v] holds v's neighbours in `full`
-    # and `mask` the right-set.  An unplaced v reaches itself and the
-    # unplaced vertices hit within radius hops, where only v and right-set
-    # members are expanded, each at most once, as in _reach.  Placing v
-    # changes only the sets of the other members of v's own (the module
-    # docstring's symmetry rule).  Each depth keeps every reach set (0 once
-    # placed), the unplaced vertices whose set has at most k members (`fits`)
-    # and those not yet tried, smallest id first; refresh() recomputes the
-    # sets in `stale` and updates `fits`.  A right-set whose every
-    # continuation failed goes into `dead`, so each is expanded at most once.
+    # an int with bit v for vertex v: nbrs[v] holds v's neighbours, read only
+    # through `& free`, `& mask` and `& unseen`, all inside `full`, and `mask`
+    # is the right-set.  An unplaced v reaches itself and the unplaced
+    # vertices hit within radius hops, where only v and right-set members are
+    # expanded, each at most once, as in _reach.  Placing v changes only the
+    # sets of the other members of v's own (the module docstring's symmetry
+    # rule).  Each depth keeps every reach set (0 once placed), the unplaced
+    # vertices whose set has at most k members (`fits`) and those not yet
+    # tried, smallest id first; refresh() recomputes the sets in `stale` and
+    # updates `fits`.  A right-set whose every continuation failed goes into
+    # `dead`, so each is expanded at most once.
     dead: set[int] = set()
     mask = 0
     placed_rtl: list[int] = []
@@ -381,7 +381,7 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     k = min(degeneracy_order(g)[1] + 1, g.n)
     while True:
         core, peeled = _peel(nbrs, k)
-        if (placed_rtl := _within([m & core for m in nbrs], core, radius, k)) is not None:
+        if (placed_rtl := _within(nbrs, core, radius, k)) is not None:
             return k, VertexOrdering(tuple(reversed(peeled + placed_rtl)))
         k += 1
 

@@ -51,6 +51,17 @@ def test_run_corpus_empty():
     assert run_corpus([], ["identity"]) == []
 
 
+def test_run_corpus_on_the_empty_graph():
+    # No vertex, so no reach set: r2 is 0, the greedy's palette is 0 and the
+    # bound reads 1; every criterion holds vacuously and exact_cf is skipped.
+    records = run_corpus([GenSpec("gnp", (0, 0.5))], ["identity", "min_backreach"], exact_up_to=6)
+    assert [r.strategy for r in records] == ["identity", "min_backreach"]
+    for rec in records:
+        assert (rec.n, rec.m, rec.r2, rec.colours_used, rec.bound_thm1) == (0, 0, 0, 0, 1)
+        assert rec.proper_ok and rec.odd_ok and rec.cf_ok
+        assert rec.exact_cf is None
+
+
 def test_run_corpus_requires_strategy():
     with pytest.raises(ValueError, match="strategy"):
         run_corpus([GenSpec("path", (4,))], [])

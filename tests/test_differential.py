@@ -34,7 +34,7 @@ from cfcolour import (
 )
 from cfcolour.colouring import CRITERIA, _violations
 from cfcolour.graph import DataLines
-from cfcolour.reach import _peel, _reach, _reach2
+from cfcolour.reach import _peel, _reach, _reach2, _within
 from oracles import (
     all_graphs,
     reference_bfs_greedy_cf_colouring,
@@ -301,6 +301,22 @@ def test_exact_scol_peels_to_the_same_value():
         assert core == 0 and sorted(peeled) == list(g.vertices), spec
         value, witness = exact_scol(g, 2, limit=g.n)
         assert value == d + 1 == max(back_reach_profile(g, witness, 2)), spec
+
+
+def test_within_never_sees_neighbours_outside_the_core():
+    # exact_scol passes every neighbour mask whole: at each k it tries, the
+    # search on the core gives what it gives with the masks cut to the core.
+    graphs = [*all_graphs(5)]
+    for s in range(3):
+        graphs += [generate(GenSpec("planar3tree", (17,), seed=s)), generate(GenSpec("gnp", (20, 0.2), seed=s))]
+    for g in graphs:
+        nbrs = [sum(1 << w for w in a) for a in g.adjacency]
+        for radius in (1, 2, 3):
+            value = exact_scol(g, radius, limit=g.n)[0]
+            for k in range(min(degeneracy_order(g)[1] + 1, g.n), value + 1):
+                core = _peel(nbrs, k)[0]
+                cut = [m & core for m in nbrs]
+                assert _within(nbrs, core, radius, k) == _within(cut, core, radius, k), (g, radius, k)
 
 
 def test_exact_scol_searches_without_a_reach_bfs(monkeypatch):

@@ -3,9 +3,9 @@
 The differential tests compare against the reference code at n <= 40.  These
 digests were recorded once at n = 3000 (the corpus workload's graphs and
 strategies), at 10^5 vertices (the given-order workload's grid) and at
-n = 17-20 (the exact workload's exact_scol panel), so a speed-up that changes
-an ordering's tie-break, a reach size, a colour or an exact witness at scale
-fails here.
+n = 12-20 (the exact workload's exact_chromatic and exact_scol inputs), so a
+speed-up that changes an ordering's tie-break, a reach size, a colour or an
+exact witness at scale fails here.
 """
 
 import hashlib
@@ -15,6 +15,7 @@ from cfcolour import (
     VertexOrdering,
     back_reach_profile,
     degeneracy_order,
+    exact_chromatic,
     exact_scol,
     generate,
     greedy_cf_colouring,
@@ -110,3 +111,17 @@ def test_exact_scol_witnesses_are_pinned():
             value, witness = search(g, 2, limit=g.n)
             parts.append(f"{value}\n" + save_ordering(witness))
         assert sha256("".join(parts)) == want, search.__name__
+
+
+def test_exact_chromatic_witnesses_are_pinned():
+    # The exact workload's chromatic inputs (gnp at seeds 0-2), under every
+    # criterion: each value with the colouring the search finds first.
+    specs = [GenSpec("cycle", (14,)), GenSpec("grid", (3, 5))]
+    specs += [GenSpec("gnp", (12, 0.3), seed=seed) for seed in range(3)]
+    parts = []
+    for spec in specs:
+        g = generate(spec)
+        for variant in ("proper", "odd", "conflict_free"):
+            value, col = exact_chromatic(g, variant, limit=g.n)
+            parts.append(f"{value}\n" + save_colouring(col))
+    assert sha256("".join(parts)) == "278249daed24b7905bfc5e70f3c6086ed53ff5f2ebe3da10d4e0bff862c64661"
