@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Collection, Literal, Sequence, get_args
 
 from .graph import DataLines, Graph
@@ -228,4 +228,4 @@ def load_colouring(text: str) -> Colouring:
 
 
 def save_colouring(col: Colouring) -> str:
-    return f"{col.n} {col.palette}\n" + "".join([f"{v} {c}\n" for v, c in enumerate(col.colours, start=1)])
+    return f"{col.n} {col.palette}\n" + "%s %s\n" * col.n % tuple(chain.from_iterable(enumerate(col.colours, 1)))

@@ -432,4 +432,4 @@ def load_ordering(text: str) -> VertexOrdering:
 
 
 def save_ordering(ordering: VertexOrdering) -> str:
-    return "".join([f"{v}\n" for v in ordering.seq])
+    return "%s\n" * len(ordering.seq) % tuple(ordering.seq)

@@ -2,6 +2,7 @@
 library's search strategies."""
 
 import gc
+import json
 import random
 from collections import Counter
 from functools import lru_cache
@@ -1022,3 +1023,31 @@ def reference_parse_colouring(source: str) -> Colouring:
         if not 1 <= colour <= c:
             raise lines.error(line_of[v], f"vertex {v} has colour {colour} outside 1..{c}")
     return Colouring(colours=tuple(colours), palette=c)
+
+
+# The one-pass reader of a text in the written shape before the chunked one,
+# graph.written_ints: it encoded, checked and parsed the whole text at once,
+# holding it as bytes three times.  Verbatim.
+_DIGITS = b"0123456789"
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
+
+def whole_ints(text: str, cols: int) -> list[int] | None:
+    """The fields of ``text``, read in one pass, if it has the exact shape the
+    package writes: ASCII, ending in a newline, and every line ``cols`` runs of
+    digits joined by single spaces.  None for any other text, which
+    :class:`DataLines` then splits into rows, so every syntax error comes from
+    the row parse."""
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    data = text.encode()
+    rows = data.count(b"\n")
+    if data.translate(None, _DIGITS) != (b" " * (cols - 1) + b"\n") * rows:
+        return None
+    try:
+        # JSON rejects a leading zero, which int() reads, and an empty field
+        # between commas; the count rejects a text of one empty line.
+        fields = json.loads(b"[" + data[:-1].translate(_COMMAS) + b"]")
+    except ValueError:
+        return None
+    return fields if len(fields) == cols * rows else None

@@ -6,7 +6,7 @@ earlier line readers."""
 
 import random
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,7 +33,8 @@ from cfcolour import (
     verify_colouring,
 )
 from cfcolour.colouring import CRITERIA, _violations
-from cfcolour.graph import DataLines
+import cfcolour.graph as graph_module
+from cfcolour.graph import DataLines, written_ints
 from cfcolour.reach import _peel, _reach, _reach2, _within
 from oracles import (
     all_graphs,
@@ -57,6 +58,7 @@ from oracles import (
     reference_unpeeled_exact_scol,
     reference_verify_colouring,
     reference_within,
+    whole_ints,
 )
 
 
@@ -621,3 +623,130 @@ def test_written_files_are_read_in_one_pass(written):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DataLines, "data_rows", no_rows)
         assert load(text) == obj
+
+
+# --- the chunked reader on texts of several chunks --------------------------
+
+def large_written_text(kind, seed=1):
+    """A text the package writes, of three to four chunks of graph._CHUNK."""
+    if kind == "graph":
+        return save_graph(generate(GenSpec("planar3tree", (6000,), seed)))
+    n = 40000 if kind == "ordering" else 25000
+    ordering = VertexOrdering.shuffled(n, seed)
+    if kind == "ordering":
+        return save_ordering(ordering)
+    return save_colouring(Colouring(tuple(v % 7 + 1 for v in ordering.seq), 7))
+
+
+def with_fault(text, kind, fault, i):
+    """``text`` with ``fault`` on its line i, counted from 0."""
+    lines = text.split("\n")[:-1]
+    fields = lines[i].split(" ")
+    n = int(lines[0].split()[0]) if kind == "graph" else len(lines) - (kind == "colouring")
+    if fault == "leading zero":
+        lines[i] = " ".join(fields[:-1] + ["0" + fields[-1]])
+    elif fault == "crlf":
+        lines[i] += "\r"
+    elif fault == "comment line":
+        lines.insert(i, "# note")
+    elif fault == "blank line":
+        lines.insert(i, "")
+    elif fault == "tab":
+        lines[i] = "\t".join(fields) if len(fields) > 1 else lines[i] + "\t"
+    elif fault == "field above n":
+        lines[i] = " ".join([str(n + 1)] + fields[1:])
+    elif fault == "self-loop":
+        lines[i] = " ".join([fields[0], fields[0]])
+    elif fault == "duplicate":  # an edge or a vertex repeated, the count kept
+        lines[i] = lines[i - 1]
+    elif fault == "count mismatch":
+        del lines[i]
+    elif fault == "malformed":
+        lines[i] = " ".join(fields[:-1] + ["x"])
+    return "".join(line + "\n" for line in lines)
+
+
+CHUNK_FAULTS = ["leading zero", "crlf", "comment line", "blank line", "tab", "field above n", "self-loop",
+                "duplicate", "count mismatch", "malformed"]
+
+
+def line_at(text, offset):
+    """The index of the line of ``text`` that holds character ``offset``."""
+    return text.count("\n", 0, offset)
+
+
+@pytest.mark.parametrize("kind", ONE_PASS_KINDS)
+def test_chunked_readers_match_the_line_reader_with_a_fault_in_any_chunk(kind):
+    # A fault on a line of the first, a middle and the last chunk: every load
+    # gives the line reader's graph, ordering or colouring, or its error
+    # message with the same line.
+    text = large_written_text(kind)
+    assert len(list(written_ints(text, 1 if kind == "ordering" else 2))) >= 3
+    load, parse_lines, _ = READERS[kind]
+    assert load(text) == parse_lines(text)
+    lines = [line_at(text, 100), line_at(text, 3 * graph_module._CHUNK // 2), text.count("\n") - 2]
+    for fault in CHUNK_FAULTS:
+        if fault == "self-loop" and kind != "graph":
+            continue
+        for i in lines:
+            faulty = with_fault(text, kind, fault, i)
+            assert outcome(load, faulty) == outcome(parse_lines, faulty), (fault, i)
+
+
+def test_chunked_reader_sorts_a_reversed_edge_list():
+    text = large_written_text("graph")
+    lines = text.split("\n")[:-1]
+    reversed_text = "".join(line + "\n" for line in lines[:1] + lines[:0:-1])
+    assert load_graph(reversed_text) == load_graph(text) == reference_parse_edgelist(reversed_text)
+
+
+def test_chunked_reader_at_a_line_that_ends_on_a_chunk_boundary():
+    # The seed is searched for a text whose first chunk is exactly _CHUNK
+    # characters: its last line ends on the boundary.
+    chunk = graph_module._CHUNK
+    text = next(t for t in map(large_written_text, ["graph"] * 200, range(200)) if t[chunk - 1] == "\n")
+    first = next(written_ints(text, 2))
+    assert len(first) == 2 * text.count("\n", 0, chunk)
+    assert load_graph(text) == reference_parse_edgelist(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DataLines, "data_rows", no_rows)
+        assert load_graph(text) == reference_parse_edgelist(text)
+    for i in (line_at(text, chunk - 1), line_at(text, chunk)):
+        for fault in CHUNK_FAULTS:
+            faulty = with_fault(text, "graph", fault, i)
+            assert outcome(load_graph, faulty) == outcome(reference_parse_edgelist, faulty), (fault, i)
+
+
+def test_an_out_of_range_endpoint_in_the_first_chunk_does_not_hide_a_later_malformed_line():
+    # Body syntax comes before content: the endpoint above n in chunk 1 stops
+    # the chunked read, and the line reader then names the malformed line.
+    text = large_written_text("graph")
+    last = text.count("\n") - 2
+    faulty = with_fault(with_fault(text, "graph", "field above n", 5), "graph", "malformed", last)
+    row = faulty.split("\n")[last]
+    assert outcome(load_graph, faulty) == ("ValueError", f"edgelist: malformed line {row!r} at line {last + 1}, expected 'u v'")
+    assert outcome(load_graph, faulty) == outcome(reference_parse_edgelist, faulty)
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_file(ONE_PASS_KINDS), st.sampled_from(MUTATIONS), st.data())
+def test_chunk_size_does_not_change_any_read(written, mutation, data):
+    # Every chunk size from one character up to the whole text: the chunks'
+    # fields join into the whole-text reader's, and a mutated text loads as
+    # the line reader reads it, wherever the chunk boundaries fall.
+    kind, text, _ = written
+    if mutation == "count off by one" and not READERS[kind][2]:
+        mutation = "vertex 0 or n+1"
+    mutated = mutate(text, kind, mutation, data)
+    cols = 1 if kind == "ordering" else 2
+    load, parse_lines, _ = READERS[kind]
+    want = outcome(parse_lines, mutated)
+    with pytest.MonkeyPatch.context() as patch:
+        for size in range(1, len(mutated) + 2):
+            patch.setattr(graph_module, "_CHUNK", size)
+            try:
+                fields = list(chain.from_iterable(written_ints(mutated, cols)))
+            except ValueError:
+                fields = None
+            assert fields == whole_ints(mutated, cols), size
+            assert outcome(load, mutated) == want, size

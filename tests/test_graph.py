@@ -22,7 +22,8 @@ from cfcolour import (
     save_ordering,
 )
 from cfcolour.generators import TABLE
-from cfcolour.graph import MAX_VERTICES, whole_ints
+from cfcolour.graph import MAX_VERTICES, written_ints
+from oracles import whole_ints
 
 
 def test_build_two_vertices_one_edge():
@@ -262,38 +263,58 @@ def load_error_and_peak(text, fmt):
         tracemalloc.stop()
 
 
+def kept_bytes(g):
+    """The bytes a graph keeps: its tuples and distinct ints summed with
+    getsizeof (traced memory drops when freed tuples are reused)."""
+    ints = {id(v): v for v in chain.from_iterable(g.adjacency)}.values()
+    return sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, chain(g.adjacency, ints)))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     # Traced peaks over the length of the text read or written, measured on
-    # Python 3.11: about 10.5x for load_graph, 8x for save_graph, 15x for
-    # load_ordering and 12.5x for load_colouring.  Split into rows (a text
-    # with a comment line), the three loads reach 25x, 21x and 21x; an edge
-    # list and a line list in save_graph push it further still.  The graph that
-    # load_graph keeps, its tuples and distinct ints summed with getsizeof
-    # (traced memory drops when freed tuples are reused), is about 4.2x: one
+    # Python 3.10-3.13: about 6.9x for load_graph, 4.0x for save_graph, 1.6x
+    # for save_ordering, 7.7x for save_colouring, 17x for load_ordering and
+    # 8.2x for load_colouring.  Reading the whole text at once took load_graph
+    # to 10.3x, and a line list took the writers to 7.8x, 12.6x and 9.8x.
+    # Split into rows (a text with a comment line), the three loads reach
+    # 25x, 21x and 21x.  The graph that load_graph keeps is about 4.2x: one
     # int object per vertex, not one per adjacency entry (8.2x).
     g = generate(GenSpec("planar3tree", (20000,), 1))
     ordering = VertexOrdering.identity(g.n)
     colouring = greedy_cf_colouring(g, ordering)
     texts = [save_graph(g), save_ordering(ordering), save_colouring(colouring)]
     calls = [
-        (lambda: load_graph(texts[0]), texts[0], 19),
-        (lambda: save_graph(g), texts[0], 11),
+        (lambda: load_graph(texts[0]), texts[0], 8),
+        (lambda: save_graph(g), texts[0], 5),
         (lambda: load_ordering(texts[1]), texts[1], 21),
+        (lambda: save_ordering(ordering), texts[1], 2.5),
         (lambda: load_colouring(texts[2]), texts[2], 17),
+        (lambda: save_colouring(colouring), texts[2], 9),
     ]
-    peaks = []
-    for call, text, _ in calls:
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(call) / len(text) for call, text, _ in calls]
     assert all(peak < bound for peak, (_, _, bound) in zip(peaks, calls)), peaks
-    adjacency = load_graph(texts[0]).adjacency
-    ints = {id(v): v for v in chain.from_iterable(adjacency)}.values()
-    kept = sys.getsizeof(adjacency) + sum(map(sys.getsizeof, chain(adjacency, ints)))
+    kept = kept_bytes(load_graph(texts[0]))
     assert kept < 6 * len(texts[0]), kept / len(texts[0])
+
+
+def test_load_graph_peaks_near_the_graph_it_keeps():
+    # The text is read and mapped a chunk at a time, the parsed chunks are
+    # freed as the build reads them, and the adjacency lists are frozen into
+    # tuples a block at a time: about 1.65x the graph kept on Python
+    # 3.10-3.13.  Reading the whole text at once peaked at 2.5x.
+    text = save_graph(generate(GenSpec("planar3tree", (20000,), 1)))
+    peak = traced_peak(lambda: load_graph(text))
+    kept = kept_bytes(load_graph(text))
+    assert peak < 2 * kept, peak / kept
 
 
 def test_loaded_graph_holds_one_int_object_per_vertex():
@@ -336,6 +357,11 @@ def test_generated_grid_holds_one_int_object_per_vertex():
 )
 def test_whole_ints_reads_only_the_written_shape(text, cols, fields):
     assert whole_ints(text, cols) == fields
+    try:
+        chunked = list(chain.from_iterable(written_ints(text, cols)))
+    except ValueError:
+        chunked = None
+    assert chunked == fields
 
 
 def test_build_graph_rejects_too_many_vertices():

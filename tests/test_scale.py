@@ -2,11 +2,17 @@
 ordering is proper, odd and conflict-free within a palette of 2r - 1, and the
 orderers and the exact oracles stay fast."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cfcolour
 from cfcolour import (
     GenSpec,
     back_reach_profile,
@@ -87,3 +93,47 @@ def test_planar3tree_generation_is_near_linear():
     elapsed = time.perf_counter() - started
     assert len(edges) == 3 * 200000 - 6
     assert elapsed < PLANAR3TREE_BOUND_S, f"planar3tree(200000) edges took {elapsed:.1f}s"
+
+
+# The opt-in run at the vertex bound, Theorem 1 on grid(1000, 1000).  On a
+# 2-vCPU VM the child took 14-19 s and peaked at 291-299 MB on Python
+# 3.10-3.13; the generated graph and its text set the peak.  With the writers'
+# line lists and a reader of the whole text at once it peaked at 368 MB.
+SCALE_OPT_IN = "CFCOLOUR_SCALE_TEST"
+SCALE_BOUND_S = 120.0
+SCALE_BOUND_MB = 360
+
+SCALE_CHILD = """
+import json, resource, sys
+from cfcolour import (GenSpec, back_reach_profile, generate, greedy_cf_colouring, load_graph,
+                      min_backreach_order, save_graph, verify_colouring)
+text = save_graph(generate(GenSpec("grid", (1000, 1000))))
+g = load_graph(text)
+del text
+ordering = min_backreach_order(g)
+r = max(back_reach_profile(g, ordering, 2))
+col = greedy_cf_colouring(g, ordering)
+verdicts = {c: verify_colouring(g, col, c).ok for c in ("proper", "odd", "conflict_free")}
+json.dump({"n": g.n, "r": r, "used": col.used, "palette": col.palette, "verdicts": verdicts,
+           "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, sys.stdout)
+"""
+
+
+@pytest.mark.skipif(os.environ.get(SCALE_OPT_IN) != "1", reason=f"opt-in: set {SCALE_OPT_IN}=1")
+def test_theorem1_at_the_vertex_bound_in_bounded_memory():
+    # grid(1000, 1000) is generated, written and read back in a child process,
+    # so its ru_maxrss is this run's alone; then min_backreach and the greedy.
+    src = str(Path(cfcolour.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    started = time.perf_counter()
+    child = subprocess.run([sys.executable, "-c", SCALE_CHILD], capture_output=True, text=True, env=env,
+                           timeout=2 * SCALE_BOUND_S, check=True)
+    elapsed = time.perf_counter() - started
+    got = json.loads(child.stdout)
+    assert got["n"] == 10**6
+    assert got["verdicts"] == {"proper": True, "odd": True, "conflict_free": True}
+    assert got["palette"] == 2 * got["r"] - 1
+    assert got["used"] <= 2 * got["r"] - 1
+    assert elapsed < SCALE_BOUND_S, f"the child took {elapsed:.0f}s"
+    # ru_maxrss is in KiB on Linux.
+    assert got["maxrss_kb"] < SCALE_BOUND_MB * 1024, got["maxrss_kb"] / 1024
