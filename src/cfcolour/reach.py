@@ -7,9 +7,11 @@ maximum reach-set size over all vertices is the ordering's back-reach; the
 minimum back-reach over all orderings is the s-strong colouring number.
 
 Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
-come from one walk along the ordering (``_reach2``); the profile at other
-radii uses a breadth-first search per vertex (``_reach``).  The exact search
-keeps its vertex sets as ints, one bit per vertex, and hops over their bits.
+come from one walk along the ordering (``_reach2``), which reads no
+positions; the profile at other radii uses a breadth-first search per vertex
+(``_reach``), the one reader of ``VertexOrdering.pos``, so an ordering builds
+its positions only there, on first read.  The exact search keeps its vertex
+sets as ints, one bit per vertex, and hops over their bits.
 It and ``min_backreach_order`` build orderings right to left on one rule:
 given the placed vertices, reach between unplaced vertices is symmetric (read
 a path backwards), so placing v changes only the reach sets of the other
@@ -38,7 +40,8 @@ when the core has one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
@@ -51,19 +54,22 @@ class VertexOrdering:
 
     ``pos[v]`` is the 1-based position of v (``pos[0]`` is unused; position 1
     is leftmost).  It is the one way to read a position, with no range check.
+    It is built on first read and kept; the radius-2 walk, and so the greedy
+    colouring and the radius-2 profile, never read it.
     """
 
     seq: tuple[int, ...]
-    pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.seq)
-        if sorted(self.seq) != list(range(1, n + 1)):
-            raise ValueError(f"ordering is not a permutation of 1..{n}")
-        pos = [0] * (n + 1)
+        if _first_misplaced(self.seq) >= 0:
+            raise ValueError(f"ordering is not a permutation of 1..{len(self.seq)}")
+
+    @cached_property
+    def pos(self) -> tuple[int, ...]:
+        pos = [0] * (self.n + 1)
         for i, v in enumerate(self.seq, start=1):
             pos[v] = i
-        object.__setattr__(self, "pos", tuple(pos))
+        return tuple(pos)
 
     @property
     def n(self) -> int:
@@ -82,6 +88,18 @@ class VertexOrdering:
         seq = list(range(1, n + 1))
         random.Random(seed).shuffle(seq)
         return cls(tuple(seq))
+
+
+def _first_misplaced(seq: Sequence[int]) -> int:
+    # The index of the first entry outside 1..len(seq) or seen before it, or
+    # -1 when seq is a permutation: one pass, with one byte per vertex.
+    n = len(seq)
+    seen = bytearray(n + 1)
+    for i, v in enumerate(seq):
+        if not 0 < v <= n or seen[v]:
+            return i
+        seen[v] = 1
+    return -1
 
 
 def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
@@ -121,19 +139,19 @@ def _reach2(
 ) -> Iterator[tuple[int, set[int], tuple[int, ...]]]:
     # Yields (v, reach, earlier) along ordering.seq, with earlier the tuple of
     # v's neighbours before it.  Until u is yielded, coloured[u] is the tuple
-    # of its neighbours yielded so far, grown from the one shared ().  At v's
-    # turn the tuple of a later neighbour u holds the ends w of the paths v-u-w;
-    # it joins v's reach set before the copy that appends v, which costs no more.
-    pos = ordering.pos
-    coloured: list[tuple[int, ...]] = [()] * len(adjacency)
+    # of its neighbours yielded so far, grown from the one shared (); once u
+    # is yielded its slot is None, so a neighbour is later exactly when its
+    # slot is not None.  At v's turn the tuple of a later neighbour u holds the
+    # ends w of the paths v-u-w; it joins v's reach set before the copy that
+    # appends v, which costs no more.
+    coloured: list[tuple[int, ...] | None] = [()] * len(adjacency)
     for v in ordering.seq:
         earlier = coloured[v]
-        coloured[v] = ()
+        coloured[v] = None
         reach = {v, *earlier}
-        pv = pos[v]
         for u in adjacency[v]:
-            if pos[u] > pv:
-                later = coloured[u]
+            later = coloured[u]
+            if later is not None:
                 if later:
                     reach.update(later)
                 coloured[u] = later + (v,)
@@ -164,12 +182,13 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple
     """
     _check_radius(radius)
     _check_covers(g, ordering)
-    adj, pos = g.adjacency, ordering.pos
+    adj = g.adjacency
     if radius == 2:
         sizes = [0] * (g.n + 1)
         for v, reach, _ in _reach2(adj, ordering):
             sizes[v] = len(reach)
         return tuple(sizes)
+    pos = ordering.pos
     return (0, *[len(_reach(adj, pos, v, radius)) for v in g.vertices])
 
 
@@ -422,12 +441,9 @@ def load_ordering(text: str) -> VertexOrdering:
     try:
         return VertexOrdering(seq)
     except ValueError as err:
-        seen = set()
-        for i, v in enumerate(seq):
-            if v in seen or not 1 <= v <= len(seq):
-                break
-            seen.add(v)
-        why = "listed twice" if v in seen else "out of range"
+        i = _first_misplaced(seq)
+        v = seq[i]
+        why = "listed twice" if 0 < v <= len(seq) else "out of range"
         raise lines.error(i, f"{err}: vertex {v} {why}") from None
 
 

@@ -5,6 +5,7 @@ import gc
 import json
 import random
 from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, islice, permutations, product
@@ -123,6 +124,24 @@ def all_graphs(n: int):
 # Earlier library implementations, kept verbatim in spirit so that the current
 # code can be checked against them output for output.
 # Only the accessors changed: ordering.pos[v] and len(g.adjacency[v]).
+
+
+# VertexOrdering before it checked the permutation in one pass and built pos
+# on first read: a sort against a range list, then every position at once.
+# Verbatim.
+@dataclass(frozen=True)
+class ReferenceVertexOrdering:
+    seq: tuple[int, ...]
+    pos: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.seq)
+        if sorted(self.seq) != list(range(1, n + 1)):
+            raise ValueError(f"ordering is not a permutation of 1..{n}")
+        pos = [0] * (n + 1)
+        for i, v in enumerate(self.seq, start=1):
+            pos[v] = i
+        object.__setattr__(self, "pos", tuple(pos))
 
 
 def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:

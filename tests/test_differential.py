@@ -37,6 +37,7 @@ import cfcolour.graph as graph_module
 from cfcolour.graph import DataLines, written_ints
 from cfcolour.reach import _peel, _reach, _reach2, _within
 from oracles import (
+    ReferenceVertexOrdering,
     all_graphs,
     reference_bfs_greedy_cf_colouring,
     reference_build_graph,
@@ -185,6 +186,27 @@ def test_tuple_walk_matches_the_list_walk(spec, strategy):
     walks = zip(_reach2(g.adjacency, ordering), reference_list_reach2(g.adjacency, ordering), strict=True)
     for (v, reach, earlier), (w, want, want_earlier) in walks:
         assert (v, reach, list(earlier)) == (w, want, list(want_earlier))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.one_of(st.permutations(range(1, n + 1)), st.lists(st.integers(-1, n + 2), min_size=n, max_size=n))
+    )
+)
+def test_ordering_check_matches_the_sorting_check(seq):
+    # Any length, entries from -1..n+2 with repeats, and the permutations the
+    # random lists seldom hit: the one-pass check accepts the same tuples,
+    # refuses the rest with the same message, and gives the same positions.
+    seq = tuple(seq)
+    try:
+        want = ReferenceVertexOrdering(seq)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            VertexOrdering(seq)
+        assert str(got.value) == str(err)
+    else:
+        assert VertexOrdering(seq).pos == want.pos
 
 
 @st.composite

@@ -359,3 +359,25 @@ def test_radius2_walk_memory_per_vertex():
         finally:
             tracemalloc.stop()
         assert peak / g.n < WALK_BYTES_PER_VERTEX, peak / g.n
+
+
+# An ordering keeps its sequence and builds its positions only when read: on
+# a shuffled ordering of 20000 vertices, measured on Python 3.10-3.13, a load
+# keeps 36 bytes per vertex and peaks at 46-49.  With every position built at
+# once, and the permutation checked by a sort against a range list, it kept
+# 71 and peaked at 92 (Python 3.11).
+def test_ordering_memory_per_vertex():
+    g = generate(GenSpec("grid", (100, 200)))
+    text = save_ordering(VertexOrdering.shuffled(g.n, 1))
+    tracemalloc.start()
+    try:
+        o = load_ordering(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / g.n < 45 and peak / g.n < 65, (kept / g.n, peak / g.n)
+    greedy_cf_colouring(g, o)
+    back_reach_profile(g, o, 2)
+    assert "pos" not in vars(o)
+    back_reach_profile(g, o, 3)
+    assert "pos" in vars(o)
