@@ -6,12 +6,12 @@ whose interior detours only through vertices placed strictly after v.  The
 maximum reach-set size over all vertices is the ordering's back-reach; the
 minimum back-reach over all orderings is the s-strong colouring number.
 
-Radius-2 reach sets, behind the greedy colouring and the radius-2 profile,
-come from one walk along the ordering (``_reach2``), which reads no
-positions; the profile at other radii uses a breadth-first search per vertex
-(``_reach``), the one reader of ``VertexOrdering.pos``, so an ordering builds
-its positions only there, on first read.  The exact search keeps its vertex
-sets as ints, one bit per vertex, and hops over their bits.
+Reach sets along an ordering are read off one walk along it: a vertex is at
+or before v exactly when the walk has reached it.  The radius-2 walk
+(``_reach2``) serves the greedy colouring and the radius-2 profile, and the
+profile at other radii runs a breadth-first search per vertex (``_reach``).
+The exact search keeps its vertex sets as ints, one bit per vertex, and hops
+over their bits.
 It and ``min_backreach_order`` build orderings right to left on one rule:
 given the placed vertices, reach between unplaced vertices is symmetric (read
 a path backwards), so placing v changes only the reach sets of the other
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Sequence
 
@@ -50,26 +49,13 @@ from .graph import DataLines, Graph
 
 @dataclass(frozen=True)
 class VertexOrdering:
-    """A total order on vertices 1..n; ``seq[i]`` is the vertex at position i+1.
-
-    ``pos[v]`` is the 1-based position of v (``pos[0]`` is unused; position 1
-    is leftmost).  It is the one way to read a position, with no range check.
-    It is built on first read and kept; the radius-2 walk, and so the greedy
-    colouring and the radius-2 profile, never read it.
-    """
+    """A total order on vertices 1..n; ``seq[i]`` is the vertex at position i+1."""
 
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if _first_misplaced(self.seq) >= 0:
             raise ValueError(f"ordering is not a permutation of 1..{len(self.seq)}")
-
-    @cached_property
-    def pos(self) -> tuple[int, ...]:
-        pos = [0] * (self.n + 1)
-        for i, v in enumerate(self.seq, start=1):
-            pos[v] = i
-        return tuple(pos)
 
     @property
     def n(self) -> int:
@@ -102,16 +88,15 @@ def _first_misplaced(seq: Sequence[int]) -> int:
     return -1
 
 
-def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
+def _reach(adjacency: Sequence[Sequence[int]], done: Sequence[bool], v: int, radius: int) -> set[int]:
     # The one reach BFS, behind back_reach_profile at radii other than 2
-    # (_within runs the same search on int masks); w lies after v exactly
-    # when pos[w] > pos[v].  Only v and vertices after v are expanded:
+    # (_within runs the same search on int masks); done[w] is True exactly
+    # when w is at or before v.  Only v and vertices after v are expanded:
     # vertices at or before v are collected as endpoints but never expanded,
     # so they cannot serve as path interiors, and any walk found this way
     # shortcuts to a qualifying path.  Each vertex after v is expanded at
     # most once, the last hop only collects, and the search ends early once
     # the frontier is empty.
-    pv = pos[v]
     collected = {v}
     frontier = [v]
     expanded = set()
@@ -121,7 +106,7 @@ def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radiu
         nxt = []
         for u in frontier:
             for w in adjacency[u]:
-                if pos[w] <= pv:
+                if done[w]:
                     collected.add(w)
                 elif w not in expanded:
                     expanded.add(w)
@@ -129,7 +114,7 @@ def _reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radiu
         frontier = nxt
     for u in frontier:
         for w in adjacency[u]:
-            if pos[w] <= pv:
+            if done[w]:
                 collected.add(w)
     return collected
 
@@ -183,13 +168,16 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple
     _check_radius(radius)
     _check_covers(g, ordering)
     adj = g.adjacency
+    sizes = [0] * (g.n + 1)
     if radius == 2:
-        sizes = [0] * (g.n + 1)
         for v, reach, _ in _reach2(adj, ordering):
             sizes[v] = len(reach)
-        return tuple(sizes)
-    pos = ordering.pos
-    return (0, *[len(_reach(adj, pos, v, radius)) for v in g.vertices])
+    else:
+        done = [False] * (g.n + 1)
+        for v in ordering.seq:
+            done[v] = True
+            sizes[v] = len(_reach(adj, done, v, radius))
+    return tuple(sizes)
 
 
 def degeneracy_order(g: Graph) -> tuple[VertexOrdering, int]:

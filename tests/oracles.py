@@ -15,19 +15,39 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph, degeneracy_order
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
 from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
-from cfcolour.reach import _check_covers, _check_limit, _check_radius, _reach, _within
+from cfcolour.reach import _check_covers, _check_limit, _check_radius, _within
+
+
+def positions(ordering: VertexOrdering) -> tuple[int, ...]:
+    """pos[v] is v's 1-based position in the ordering (pos[0] is unused)."""
+    pos = [0] * (ordering.n + 1)
+    for i, v in enumerate(ordering.seq, start=1):
+        pos[v] = i
+    return tuple(pos)
+
+
+def prefix_flags(ordering: VertexOrdering, v: int) -> list[bool]:
+    """The flags _reach reads for v: done[w] is True exactly when w is at or
+    before v in the ordering."""
+    done = [False] * (ordering.n + 1)
+    for w in ordering.seq:
+        done[w] = True
+        if w == v:
+            break
+    return done
 
 
 def enumerate_reach(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
     """Reach set by enumerating every simple path from v of length <= radius
     and testing the endpoint/interior order conditions on each one."""
-    pv = ordering.pos[v]
+    pos = positions(ordering)
+    pv = pos[v]
     found: set[int] = set()
 
     def walk(path: list[int]) -> None:
         end = path[-1]
-        if ordering.pos[end] <= pv and all(
-            ordering.pos[x] > pv for x in path[1:-1]
+        if pos[end] <= pv and all(
+            pos[x] > pv for x in path[1:-1]
         ):
             found.add(end)
         if len(path) - 1 < radius:
@@ -123,7 +143,7 @@ def all_graphs(n: int):
 # --- differential references -------------------------------------------------
 # Earlier library implementations, kept verbatim in spirit so that the current
 # code can be checked against them output for output.
-# Only the accessors changed: ordering.pos[v] and len(g.adjacency[v]).
+# Only the accessors changed: positions(ordering)[v] and len(g.adjacency[v]).
 
 
 # VertexOrdering before it checked the permutation in one pass and built pos
@@ -144,9 +164,10 @@ class ReferenceVertexOrdering:
         object.__setattr__(self, "pos", tuple(pos))
 
 
-def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int) -> set[int]:
-    """Reach set by the seen-set BFS that expands only v and vertices after v."""
-    pv = ordering.pos[v]
+def reference_reach_set(g: Graph, pos: Sequence[int], v: int, radius: int) -> set[int]:
+    """Reach set by the seen-set BFS that expands only v and vertices after v;
+    pos is positions(ordering)."""
+    pv = pos[v]
     seen = {v}
     collected = {v}
     frontier = [v]
@@ -157,7 +178,7 @@ def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int)
                 if w in seen:
                     continue
                 seen.add(w)
-                if ordering.pos[w] <= pv:
+                if pos[w] <= pv:
                     collected.add(w)
                 else:
                     nxt.append(w)
@@ -166,7 +187,48 @@ def reference_reach_set(g: Graph, ordering: VertexOrdering, v: int, radius: int)
 
 
 def reference_profile_sizes(g: Graph, ordering: VertexOrdering, radius: int) -> dict[int, int]:
-    return {v: len(reference_reach_set(g, ordering, v, radius)) for v in g.vertices}
+    pos = positions(ordering)
+    return {v: len(reference_reach_set(g, pos, v, radius)) for v in g.vertices}
+
+
+# The reach BFS before it read "after v" off the walk: it compared positions.
+# Verbatim.
+def reference_pos_reach(adjacency: Sequence[Sequence[int]], pos: Sequence[int], v: int, radius: int) -> set[int]:
+    # The one reach BFS, behind back_reach_profile at radii other than 2
+    # (_within runs the same search on int masks); w lies after v exactly
+    # when pos[w] > pos[v].  Only v and vertices after v are expanded:
+    # vertices at or before v are collected as endpoints but never expanded,
+    # so they cannot serve as path interiors, and any walk found this way
+    # shortcuts to a qualifying path.  Each vertex after v is expanded at
+    # most once, the last hop only collects, and the search ends early once
+    # the frontier is empty.
+    pv = pos[v]
+    collected = {v}
+    frontier = [v]
+    expanded = set()
+    for _ in range(radius - 1):
+        if not frontier:
+            break
+        nxt = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if pos[w] <= pv:
+                    collected.add(w)
+                elif w not in expanded:
+                    expanded.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    for u in frontier:
+        for w in adjacency[u]:
+            if pos[w] <= pv:
+                collected.add(w)
+    return collected
+
+
+# back_reach_profile's branch for radii other than 2, on positions.  Verbatim.
+def reference_pos_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple[int, ...]:
+    pos = positions(ordering)
+    return (0, *[len(reference_pos_reach(g.adjacency, pos, v, radius)) for v in g.vertices])
 
 
 # The radius-2 walk before it kept each vertex's coloured neighbours as a
@@ -181,7 +243,7 @@ def reference_list_reach2(
     # while u is not (None when empty, and once u is yielded).  At v's turn
     # the list of each later neighbour u holds the ends w of the paths v-u-w
     # with w before v, so the reach set is v, its own list and those lists.
-    pos = ordering.pos
+    pos = positions(ordering)
     coloured: list[list[int] | None] = [None] * len(adjacency)
     for v in ordering.seq:
         reach = {v}
@@ -322,15 +384,16 @@ def reference_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Colouri
         return Colouring(colours=(), palette=0)
     r = max(reference_profile_sizes(g, ordering, 2).values())
     palette = max(1, 2 * r - 1)
+    pos = positions(ordering)
     leftmost = {
-        u: min(g.adjacency[u], key=ordering.pos.__getitem__) if g.adjacency[u] else None
+        u: min(g.adjacency[u], key=pos.__getitem__) if g.adjacency[u] else None
         for u in g.vertices
     }
     colour_of: dict[int, int] = {}
     for i, v in enumerate(ordering.seq, start=1):
-        blocked = {colour_of[w] for w in reference_reach_set(g, ordering, v, 2) if w != v}
+        blocked = {colour_of[w] for w in reference_reach_set(g, pos, v, 2) if w != v}
         for u in g.adjacency[v]:
-            if ordering.pos[u] < i:
+            if pos[u] < i:
                 pi = leftmost[u]
                 if pi != v:
                     blocked.add(colour_of[pi])
@@ -357,13 +420,13 @@ def reference_bfs_greedy_cf_colouring(g: Graph, ordering: VertexOrdering) -> Col
     _check_covers(g, ordering)
     if g.n == 0:
         return Colouring(colours=(), palette=0)
-    adj, pos = g.adjacency, ordering.pos
+    adj, pos = g.adjacency, positions(ordering)
 
     colour_of = [0] * (g.n + 1)
     first = [0] * (g.n + 1)  # first[u]: u's leftmost neighbour, 0 until one is coloured
     r = 0
     for v in ordering.seq:
-        reach = _reach(adj, pos, v, 2)
+        reach = reference_pos_reach(adj, pos, v, 2)
         if len(reach) > r:
             r = len(reach)
         # colour_of[v] is still 0, which blocks no choice.
@@ -427,7 +490,7 @@ def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, V
         for v in range(1, n + 1):
             if pos[v]:
                 continue
-            size = len(_reach(adj, pos, v, radius))
+            size = len(reference_pos_reach(adj, pos, v, radius))
             if size >= out:
                 continue
             out = min(out, max(size, best(mask | (1 << (v - 1)))))
@@ -441,7 +504,7 @@ def reference_exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, V
         for v in range(1, n + 1):
             if pos[v]:
                 continue
-            size = len(_reach(adj, pos, v, radius))
+            size = len(reference_pos_reach(adj, pos, v, radius))
             if max(size, best(mask | (1 << (v - 1)))) <= value:
                 placed_rtl.append(v)
                 mask |= 1 << (v - 1)
@@ -467,7 +530,7 @@ def reference_unpeeled_exact_scol(g: Graph, radius: int, limit: int = 10) -> tup
 
 # exact_scol's search as it was before it kept its vertex sets as ints:
 # the right-set as a `placed` list beside its mask, and every candidate's
-# reach set from the list BFS _reach.
+# reach set from the list BFS on positions, reference_pos_reach.
 
 
 def reference_within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) -> list[int] | None:
@@ -475,9 +538,9 @@ def reference_within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) 
     # left, or None.  Depth-first over right-sets: a vertex may be placed only
     # while its reach set, fixed once everything to its right is, has at most
     # k members.  placed[w] is 1 when w is in the right-set, so it serves as
-    # the position array of _reach for every unplaced vertex.  A right-set
-    # whose every continuation failed goes into `dead`, so each right-set is
-    # expanded at most once.
+    # the position array of reference_pos_reach for every unplaced vertex.  A
+    # right-set whose every continuation failed goes into `dead`, so each
+    # right-set is expanded at most once.
     placed = [0] * (n + 1)
     full = (1 << n) - 1
     dead: set[int] = set()
@@ -486,7 +549,9 @@ def reference_within(adj: Sequence[Sequence[int]], n: int, radius: int, k: int) 
 
     def candidates() -> list[int]:
         # Largest id first, so that pop() tries the smallest id first.
-        return [v for v in range(n, 0, -1) if not placed[v] and len(_reach(adj, placed, v, radius)) <= k]
+        return [
+            v for v in range(n, 0, -1) if not placed[v] and len(reference_pos_reach(adj, placed, v, radius)) <= k
+        ]
 
     stack = [candidates()]
     while stack:

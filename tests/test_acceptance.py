@@ -23,7 +23,7 @@ from cfcolour import (
 )
 from cfcolour.cli import main as cli_main
 from cfcolour.reach import _reach
-from oracles import all_graphs, enumerate_reach
+from oracles import all_graphs, enumerate_reach, prefix_flags
 
 CRITERIA = ("proper", "odd", "conflict_free")
 
@@ -131,7 +131,7 @@ def test_criterion_4_reach_oracle_equivalence():
             for s in (1, 2, 3):
                 for v in g.vertices:
                     checks += 1
-                    if _reach(g.adjacency, ordering.pos, v, s) != enumerate_reach(g, ordering, v, s):
+                    if _reach(g.adjacency, prefix_flags(ordering, v), v, s) != enumerate_reach(g, ordering, v, s):
                         failures.append((i, j, s, v))
     elapsed = time.perf_counter() - started
     _report(

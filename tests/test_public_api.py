@@ -22,5 +22,5 @@ def test_public_surface_is_pinned():
         "save_ordering", "verify_colouring",
     ]
     assert public(generate(GenSpec("path", (3,)))) == {"adjacency", "edges", "m", "n", "vertices"}
-    assert public(VertexOrdering.identity(3)) == {"identity", "n", "pos", "reverse", "seq", "shuffled"}
+    assert public(VertexOrdering.identity(3)) == {"identity", "n", "reverse", "seq", "shuffled"}
     assert public(Colouring((1, 2, 1), palette=2)) == {"colours", "n", "palette", "used"}

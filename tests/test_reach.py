@@ -20,7 +20,7 @@ from cfcolour import (
     save_ordering,
 )
 from cfcolour.reach import _reach, _reach2
-from oracles import all_graphs, enumerate_reach, enumerate_right_reach, enumerate_scol
+from oracles import all_graphs, enumerate_reach, enumerate_right_reach, enumerate_scol, positions, prefix_flags
 
 
 def path(n):
@@ -40,11 +40,6 @@ def star(m):
 
 
 # --- VertexOrdering ---------------------------------------------------------
-
-
-def test_ordering_positions():
-    o = VertexOrdering((3, 1, 2))
-    assert o.pos[1:] == (2, 3, 1)
 
 
 def test_ordering_rejects_non_permutation():
@@ -95,23 +90,23 @@ def test_make_ordering_strategies():
 
 def test_reach_p4_excludes_left_interior():
     # The length-2 path through vertex 3 does not count: 3 comes before 4.
-    assert _reach(path(4).adjacency, VertexOrdering.identity(4).pos, 4, 2) == {4, 3}
+    assert _reach(path(4).adjacency, prefix_flags(VertexOrdering.identity(4), 4), 4, 2) == {4, 3}
 
 
 def test_reach_first_vertex_is_singleton():
     g = cycle(5)
     o = VertexOrdering((2, 4, 1, 3, 5))
     for s in (1, 2, 3):
-        assert _reach(g.adjacency, o.pos, 2, s) == {2}
+        assert _reach(g.adjacency, prefix_flags(o, 2), 2, s) == {2}
 
 
 def test_reach_c5_wraps_through_right_interior():
-    assert _reach(cycle(5).adjacency, VertexOrdering.identity(5).pos, 4, 2) == {4, 3, 1}
+    assert _reach(cycle(5).adjacency, prefix_flags(VertexOrdering.identity(5), 4), 4, 2) == {4, 3, 1}
 
 
 def test_reach_star_centre_last():
     # Leaf 3 reaches leaf 2 through the centre, which sits to the right.
-    assert _reach(star(3).adjacency, VertexOrdering((2, 3, 4, 1)).pos, 3, 2) == {3, 2}
+    assert _reach(star(3).adjacency, prefix_flags(VertexOrdering((2, 3, 4, 1)), 3), 3, 2) == {3, 2}
 
 
 # --- back_reach_profile -----------------------------------------------------
@@ -266,16 +261,17 @@ def graph_order_radius(draw, max_n=7):
 @given(graph_order_radius())
 def test_reach_matches_path_enumeration(t):
     g, ordering, s = t
+    pos = positions(ordering)
     for v in g.vertices:
-        assert _reach(g.adjacency, ordering.pos, v, s) == enumerate_reach(g, ordering, v, s)
+        assert _reach(g.adjacency, prefix_flags(ordering, v), v, s) == enumerate_reach(g, ordering, v, s)
     # The radius-2 walk yields every vertex in order, with its reach set and
     # its earlier neighbours sorted by position.
     yielded = []
     for v, r, earlier in _reach2(g.adjacency, ordering):
         yielded.append(v)
         assert r == enumerate_reach(g, ordering, v, 2)
-        before = [w for w in g.adjacency[v] if ordering.pos[w] < ordering.pos[v]]
-        assert list(earlier) == sorted(before, key=ordering.pos.__getitem__)
+        before = [w for w in g.adjacency[v] if pos[w] < pos[v]]
+        assert list(earlier) == sorted(before, key=pos.__getitem__)
     assert tuple(yielded) == ordering.seq
 
 
@@ -283,13 +279,15 @@ def test_reach_matches_path_enumeration(t):
 @given(graph_order_radius())
 def test_reach_basics(t):
     g, ordering, s = t
+    pos = positions(ordering)
     for v in g.vertices:
-        r = _reach(g.adjacency, ordering.pos, v, s)
+        done = prefix_flags(ordering, v)
+        r = _reach(g.adjacency, done, v, s)
         assert v in r
-        assert all(ordering.pos[w] <= ordering.pos[v] for w in r)
-        assert r <= _reach(g.adjacency, ordering.pos, v, s + 1)
-        left_nbrs = {w for w in g.adjacency[v] if ordering.pos[w] < ordering.pos[v]}
-        assert _reach(g.adjacency, ordering.pos, v, 1) == {v} | left_nbrs
+        assert all(pos[w] <= pos[v] for w in r)
+        assert r <= _reach(g.adjacency, done, v, s + 1)
+        left_nbrs = {w for w in g.adjacency[v] if pos[w] < pos[v]}
+        assert _reach(g.adjacency, done, v, 1) == {v} | left_nbrs
 
 
 def test_profile_max_nondecreasing_in_radius():
@@ -361,11 +359,13 @@ def test_radius2_walk_memory_per_vertex():
         assert peak / g.n < WALK_BYTES_PER_VERTEX, peak / g.n
 
 
-# An ordering keeps its sequence and builds its positions only when read: on
-# a shuffled ordering of 20000 vertices, measured on Python 3.10-3.13, a load
-# keeps 36 bytes per vertex and peaks at 46-49.  With every position built at
-# once, and the permutation checked by a sort against a range list, it kept
-# 71 and peaked at 92 (Python 3.11).
+# An ordering keeps only its sequence: on a shuffled ordering of 20000
+# vertices, measured on Python 3.10-3.13, a load keeps 36 bytes per vertex and
+# peaks at 46-49.  With every position built at once, and the permutation
+# checked by a sort against a range list, it kept 71 and peaked at 92 (Python
+# 3.11).  The profile at radius 3 reads "at or before v" off a list of flags
+# the walk sets, and peaked at 24.0 bytes per vertex on Python 3.11; building
+# positions for it peaked at 52.3.
 def test_ordering_memory_per_vertex():
     g = generate(GenSpec("grid", (100, 200)))
     text = save_ordering(VertexOrdering.shuffled(g.n, 1))
@@ -373,11 +373,11 @@ def test_ordering_memory_per_vertex():
     try:
         o = load_ordering(text)
         kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back_reach_profile(g, o, 3)
+        profile = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert kept / g.n < 45 and peak / g.n < 65, (kept / g.n, peak / g.n)
-    greedy_cf_colouring(g, o)
-    back_reach_profile(g, o, 2)
-    assert "pos" not in vars(o)
-    back_reach_profile(g, o, 3)
-    assert "pos" in vars(o)
+    assert profile / g.n < 36, profile / g.n
