@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import Collection, Literal, Sequence, get_args
 
-from .graph import DataLines, Graph
+from .graph import DataLines, Graph, written_ints
 from .reach import VertexOrdering, _check_covers, _check_limit, _reach2
 
 Criterion = Literal["proper", "odd", "conflict_free"]
@@ -198,17 +198,32 @@ def load_colouring(text: str) -> Colouring:
     """Read a colouring file's text: header "n c", then n lines "v colour",
     one per vertex in any order.  A vertex out of range, listed twice, or with
     a colour outside 1..c is an error naming its line; a body of the wrong
-    length or a negative c is an error naming the header's line.
-
-    A file in the shape :func:`save_colouring` writes is read in one pass (see
-    :class:`~cfcolour.graph.DataLines`)."""
-    lines = DataLines("colouring file", text, cols=2)
-    if not lines.count:
+    length or a negative c is an error naming the header's line.  A file as
+    :func:`save_colouring` writes it, vertices 1..n in order, loads on its
+    chunked read (:func:`~cfcolour.graph.written_ints`); any other text, or a
+    fault, goes whole to the line reader, which raises every error."""
+    try:
+        chunks = written_ints(text, 2)
+        head = next(chunks)
+        n, c = head[0], head[1]
+        del head[:2]
+        vertices, parts = count(1), []  # the vertices the lines must list; each chunk's colours
+        for fields in chain([head], chunks):
+            if fields[::2] != list(islice(vertices, len(fields) // 2)):
+                raise ValueError("not in vertex order")
+            del fields[::2]
+            parts.append(fields)
+        if next(vertices) == n + 1:
+            return Colouring(colours=tuple(chain.from_iterable(parts)), palette=c)
+    except ValueError:
+        pass  # not in the written shape, or faulty: read it line by line
+    lines = DataLines("colouring file", text)
+    if not lines.rows:
         raise ValueError("colouring file: missing 'n c' header line")
     n, c = lines.ints("header", "n c", 1)[:2]
     # The count goes first, so a header far beyond the body allocates nothing.
-    if lines.count - 1 != n:
-        raise lines.error(0, f"header declares {n} vertices, body has {lines.count - 1} lines")
+    if len(lines.rows) - 1 != n:
+        raise lines.error(0, f"header declares {n} vertices, body has {len(lines.rows) - 1} lines")
     fields = lines.ints("line", "v colour")
     colours: list[int | None] = [None] * n
     for i, (v, colour) in enumerate(zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)), 1):

@@ -158,32 +158,15 @@ def written_ints(text: str, cols: int) -> Iterator[list[int]]:
 
 
 class DataLines:
-    """The data lines of a file's text, a str, in one of the package's file
-    formats, read as one flat list of int fields.
+    """The line reader: the stripped ``rows`` of a file's text, a str, that
+    are neither blank nor comments (lines starting with ``comment``), parsed
+    by :meth:`ints` into one flat list of int fields.  Line numbers are
+    counted again only to report an error.  A written edgelist, ordering or
+    colouring comes here only when its loader's chunked read refused it."""
 
-    A text in the shape the package writes, ``cols`` runs of digits a line,
-    is read chunk by chunk by :func:`written_ints` and its chunks' fields
-    joined, and ``rows`` is None.  Any other text, and every text when
-    ``cols`` is 0, is split into ``rows``: the stripped lines that are
-    neither blank nor comments (lines starting with ``comment``).  ``count``
-    is the number of data lines either way.  Line numbers are counted again
-    only to report an error.  An edgelist comes here, with ``cols`` 0, only
-    when :func:`load_graph`'s own chunked read refused it.
-    """
-
-    def __init__(self, fmt: str, text: str, comment: Literal["#", "c"] = "#", cols: int = 0):
-        self.fmt = fmt
-        self.comment = comment
-        self.text = text
-        try:
-            self.fields = list(chain.from_iterable(written_ints(text, cols))) if cols else None
-        except ValueError:
-            self.fields = None
-        if self.fields is None:
-            self.rows, self.fields = self.data_rows(), []
-            self.count = len(self.rows)
-        else:
-            self.rows, self.count = None, len(self.fields) // cols
+    def __init__(self, fmt: str, text: str, comment: Literal["#", "c"] = "#"):
+        self.fmt, self.comment, self.text = fmt, comment, text
+        self.rows, self.fields = self.data_rows(), []
         self.parsed = 0  # rows already parsed into fields
 
     def data_rows(self) -> list[str]:
@@ -197,15 +180,11 @@ class DataLines:
         return ValueError(f"{self.fmt}: {what} at line {next(islice(numbers, i, None))}{tail}")
 
     def ints(self, kind: str, shape: str, stop: int | None = None, tags: int = 0) -> list[int]:
-        """The int fields of the data lines, flat and in order.
-
-        Rows not yet parsed, up to ``stop``, are parsed first, each once.  Each
-        must have the words of ``shape``: ``tags`` tags, which the caller
-        checks, then int fields.  The first that does not is named as a
-        malformed ``kind`` by the parse itself, which counts the rows it reads.
-        So a header can be checked before the body is parsed."""
-        if self.rows is None:
-            return self.fields
+        """The int fields of the rows, flat and in order, each row parsed once
+        and only up to ``stop``, so a header can be checked before the body.
+        Each row must have the words of ``shape``: ``tags`` tags, which the
+        caller checks, then int fields; the parse itself names the first row
+        that does not as a malformed ``kind``, counting the rows it reads."""
         width = shape.count(" ") + 1
         rows, seen = self.rows[self.parsed:stop], count(self.parsed)
         try:
@@ -235,10 +214,10 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
         except (ValueError, IndexError):
             pass  # not in the written shape, or faulty: read it line by line
         lines = DataLines(fmt, text)
-        if not lines.count:
+        if not lines.rows:
             raise ValueError("edgelist: missing 'n m' header line")
         n, m = lines.ints("header", "n m", 1)[:2]
-        declared = f"header declares {m} edges but body has {lines.count - 1} lines"
+        declared = f"header declares {m} edges but body has {len(lines.rows) - 1} lines"
         edge_shape, tags = "u v", 0
     elif fmt == "dimacs":
         lines = DataLines(fmt, text, comment="c")
@@ -252,13 +231,13 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
         if lines.rows[0].split()[1:2] != ["edge"]:
             raise lines.error(0, f"malformed problem line {lines.rows[0]!r}", "p edge n m")
         n, m = lines.ints("problem line", "p edge n m", 1, tags=2)[:2]
-        declared = f"problem line declares {m} edges but found {lines.count - 1}"
+        declared = f"problem line declares {m} edges but found {len(lines.rows) - 1}"
         edge_shape, tags = "e u v", 1
     else:
         raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
     if reason := size_error(n, m):
         raise lines.error(0, reason)
-    if lines.count - 1 != m:
+    if len(lines.rows) - 1 != m:
         raise lines.error(0, declared)
     fields = lines.ints("line", edge_shape, tags=tags)
     try:

@@ -42,9 +42,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterator, Sequence
 
-from .graph import DataLines, Graph
+from .graph import DataLines, Graph, written_ints
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,7 @@ def back_reach_profile(g: Graph, ordering: VertexOrdering, radius: int) -> tuple
         for v in ordering.seq:
             done[v] = True
             sizes[v] = len(_reach(adj, done, v, radius))
+        del done
     return tuple(sizes)
 
 
@@ -419,12 +421,16 @@ def make_ordering(g: Graph, strategy: str) -> VertexOrdering:
 
 
 def load_ordering(text: str) -> VertexOrdering:
-    """Read an ordering file's text: one 1-based vertex id per line, top line first.
-
-    A file in the shape :func:`save_ordering` writes is read in one pass (see
-    :class:`~cfcolour.graph.DataLines`).  A file that is not a permutation is
-    an error naming the first line whose vertex is out of range or repeated."""
-    lines = DataLines("ordering file", text, cols=1)
+    """Read an ordering file's text: one 1-based vertex id per line, top line
+    first.  A file as :func:`save_ordering` writes it loads on its chunked read
+    (:func:`~cfcolour.graph.written_ints`); any other text, or a fault, goes
+    whole to the line reader, which raises every error: one that is not a
+    permutation names the first line whose vertex is out of range or repeated."""
+    try:
+        return VertexOrdering(tuple(chain.from_iterable(written_ints(text, 1))))
+    except ValueError:
+        pass  # not in the written shape, or not a permutation: read it line by line
+    lines = DataLines("ordering file", text)
     seq = tuple(lines.ints("line", "v"))
     try:
         return VertexOrdering(seq)

@@ -700,11 +700,13 @@ def with_fault(text, kind, fault, i):
         del lines[i]
     elif fault == "malformed":
         lines[i] = " ".join(fields[:-1] + ["x"])
+    elif fault == "swapped lines":  # in the written shape, out of the written order
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
     return "".join(line + "\n" for line in lines)
 
 
 CHUNK_FAULTS = ["leading zero", "crlf", "comment line", "blank line", "tab", "field above n", "self-loop",
-                "duplicate", "count mismatch", "malformed"]
+                "duplicate", "count mismatch", "malformed", "swapped lines"]
 
 
 def line_at(text, offset):

@@ -364,8 +364,9 @@ def test_radius2_walk_memory_per_vertex():
 # peaks at 46-49.  With every position built at once, and the permutation
 # checked by a sort against a range list, it kept 71 and peaked at 92 (Python
 # 3.11).  The profile at radius 3 reads "at or before v" off a list of flags
-# the walk sets, and peaked at 24.0 bytes per vertex on Python 3.11; building
-# positions for it peaked at 52.3.
+# the walk sets, and frees it before the sizes are copied into the returned
+# tuple: it peaked at 16.1 bytes per vertex on Python 3.11, 24.0 with the
+# flags kept through the copy, and 52.3 building positions.
 def test_ordering_memory_per_vertex():
     g = generate(GenSpec("grid", (100, 200)))
     text = save_ordering(VertexOrdering.shuffled(g.n, 1))
@@ -380,4 +381,4 @@ def test_ordering_memory_per_vertex():
     finally:
         tracemalloc.stop()
     assert kept / g.n < 45 and peak / g.n < 65, (kept / g.n, peak / g.n)
-    assert profile / g.n < 36, profile / g.n
+    assert profile / g.n < 20, profile / g.n
