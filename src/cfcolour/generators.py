@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, NamedTuple
 
-from .graph import Graph, build_graph, size_error
+from .graph import Graph, build_graph, graph_of_lists, size_error
 
 
 class Family(NamedTuple):
@@ -16,30 +16,40 @@ class Family(NamedTuple):
 
     ``params`` gives each parameter's name and minimum, or None for a
     probability in [0, 1]; ``size`` maps the parameters to (vertices, edges),
-    or to (vertices, vertex pairs drawn) when ``counts`` says so; ``edges``
-    maps the parameters and a seeded ``random.Random`` to the edge list.
+    or to (vertices, vertex pairs drawn) when ``counts`` says so; ``graph``
+    maps the parameters and a seeded ``random.Random`` to the graph.
     """
 
     params: tuple[tuple[str, int | None], ...]
     seeded: bool
     size: Callable[..., tuple[int, int]]
-    edges: Callable[..., list[tuple[int, int]]]
+    graph: Callable[..., Graph]
     counts: str = "edge"
 
 
-def _grid(r: int, c: int, rng: random.Random) -> list[tuple[int, int]]:
-    # Endpoints come from one list, so the graph holds one int object per
-    # vertex rather than a new one per endpoint occurrence.
-    ids = list(range(r * c + 1))
-    edges = []
-    for i in range(r):
-        for j in range(c):
-            v = i * c + j + 1  # row-major numbering
-            if j + 1 < c:
-                edges.append((ids[v], ids[v + 1]))
-            if i + 1 < r:
-                edges.append((ids[v], ids[v + c]))
-    return edges
+def _grid(r: int, c: int) -> list[tuple[int, ...]]:
+    """Row-major numbering: v's neighbours are those of v - c, v - 1, v + 1
+    and v + c on the grid, in that order, so each tuple is sorted as made.  A
+    row's tuples are zipped at once from the slices of ids above, left of,
+    right of and below it; the left and right ids that fall off the row's two
+    ends are then cut out.  The ids come from one list, so the graph holds one
+    int object per vertex."""
+    n = r * c
+    ids = list(range(n + 2))
+    adj: list[tuple[int, ...]] = [()]
+    for s in range(0, n, c):  # the row s + 1 .. s + c
+        sources = [ids[s + 1 - c:s + 1]] if s else []
+        if c > 1:
+            sources += [ids[s:s + c], ids[s + 2:s + c + 2]]
+        if s + c < n:
+            sources.append(ids[s + c + 1:s + 2 * c + 1])
+        row = list(zip(*sources)) if sources else [()]
+        if c > 1:
+            k = 1 if s else 0  # the left id's index in each tuple
+            head, tail = row[0], row[-1]
+            row[0], row[-1] = head[:k] + head[k + 1:], tail[:k + 1] + tail[k + 2:]
+        adj += row
+    return adj
 
 
 def _gnp(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
@@ -47,25 +57,32 @@ def _gnp(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
 
 
-# Insertions per face chunk in planar3tree: a pop moves at most 3 * FACE_CHUNK
-# pointers, and the Fenwick tree has one node per chunk.  At n = 10^5 the time
-# was flat for 512 to 4096 and rose at 8192.
+# Insertions per face chunk in planar3tree: a face is three ints in its chunk,
+# so a pop moves at most 9 * FACE_CHUNK pointers, and the Fenwick tree has one
+# node per chunk.  At n = 10^5 the time was flat for 256 to 1024 and rose by
+# 14%, 49% and 110% at 2048, 4096 and 8192; at 10^6, 256 and 512 read within 4%.
 FACE_CHUNK = 1024
 
 
-def _planar3tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
+def _planar3tree(n: int, rng: random.Random) -> list[list[int]]:
     """Insert each vertex v >= 4 into the live face ``randrange(2v - 7)``, the
     live faces counted in creation order.  The faces are kept in chunks, and
     a Fenwick tree (Fenwick, SPE 1994) over the chunks' live counts finds the
-    one drawn in O(log n) steps."""
-    edges = [(1, 2), (2, 3), (1, 3)]
+    one drawn in O(log n) steps.
+
+    A face's corners a < b < c are kept in that order, and the faces v makes,
+    (a, b, v), (a, c, v) and (b, c, v), keep it too.  So v's list starts as
+    its face's corners, and every later neighbour is appended in increasing
+    order: each list is sorted as it is made."""
+    adj = [[], [2, 3], [1, 3], [1, 2]]
     size = 1 << (max(n - 4, 0) // FACE_CHUNK).bit_length()  # a power of two, at least the chunk count
     # Chunk j holds the faces made by the vertices 4 + j * FACE_CHUNK up to
-    # 3 + (j + 1) * FACE_CHUNK, chunk 0 also the first face.  Every chunk counts
-    # as full from the start: randrange draws below the live count, so the
-    # descent never passes the chunk being filled.
-    chunks: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
-    chunks[0].append((1, 2, 3))
+    # 3 + (j + 1) * FACE_CHUNK, chunk 0 also the first face, as flat runs of
+    # three corners.  Every chunk counts as full from the start: randrange
+    # draws below the live count, so the descent never passes the chunk
+    # being filled.
+    chunks: list[list[int]] = [[] for _ in range(size)]
+    chunks[0] += (1, 2, 3)
     tree = [3 * FACE_CHUNK] * (size + 1)  # tree[j] sums chunks j - (j & -j) .. j - 1
     tree[1] += 1
     for j in range(1, size):
@@ -77,32 +94,41 @@ def _planar3tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
             if tree[j + step] <= i:
                 j += step
                 i -= tree[j]
-        a, b, c = chunks[j].pop(i)
+        faces, i = chunks[j], 3 * i
+        a, b, c = faces[i:i + 3]
+        del faces[i:i + 3]
         j += 1
         while j <= size:
             tree[j] -= 1
             j += j & -j
-        edges += [(a, v), (b, v), (c, v)]
-        chunks[(v - 4) // FACE_CHUNK] += [(a, b, v), (a, c, v), (b, c, v)]
-    return edges
+        adj[a].append(v)
+        adj[b].append(v)
+        adj[c].append(v)
+        adj.append([a, b, c])
+        chunks[(v - 4) // FACE_CHUNK] += (a, b, v, a, c, v, b, c, v)
+    return adj
 
 
 # gnp draws one number per vertex pair, in lexicographic order, whatever p is;
 # so its size counts the pairs, and the edge bound limits its time as well.
 TABLE = {
     "path": Family((("n", 1),), False, lambda n: (n, n - 1),
-                   lambda n, rng: [(i, i + 1) for i in range(1, n)]),
+                   lambda n, rng: build_graph(n, [(i, i + 1) for i in range(1, n)])),
     "cycle": Family((("n", 3),), False, lambda n: (n, n),
-                    lambda n, rng: [(1, 2), (1, n)] + [(i, i + 1) for i in range(2, n)]),
+                    lambda n, rng: build_graph(n, [(1, 2), (1, n)] + [(i, i + 1) for i in range(2, n)])),
     "complete": Family((("n", 1),), False, lambda n: (n, n * (n - 1) // 2),
-                       lambda n, rng: list(combinations(range(1, n + 1), 2))),
+                       lambda n, rng: build_graph(n, combinations(range(1, n + 1), 2))),
     "star": Family((("leaves", 0),), False, lambda k: (k + 1, k),
-                   lambda k, rng: [(1, v) for v in range(2, k + 2)]),
+                   lambda k, rng: build_graph(k + 1, [(1, v) for v in range(2, k + 2)])),
     "complete_bipartite": Family((("a", 1), ("b", 1)), False, lambda a, b: (a + b, a * b),
-                                 lambda a, b, rng: list(product(range(1, a + 1), range(a + 1, a + b + 1)))),
-    "grid": Family((("rows", 1), ("cols", 1)), False, lambda r, c: (r * c, r * (c - 1) + c * (r - 1)), _grid),
-    "gnp": Family((("n", 0), ("p", None)), True, lambda n, p: (n, n * (n - 1) // 2), _gnp, "vertex pair"),
-    "planar3tree": Family((("n", 3),), True, lambda n: (n, 3 * n - 6), _planar3tree),
+                                 lambda a, b, rng: build_graph(a + b, product(range(1, a + 1),
+                                                                              range(a + 1, a + b + 1)))),
+    "grid": Family((("rows", 1), ("cols", 1)), False, lambda r, c: (r * c, r * (c - 1) + c * (r - 1)),
+                   lambda r, c, rng: graph_of_lists(lambda: _grid(r, c))),
+    "gnp": Family((("n", 0), ("p", None)), True, lambda n, p: (n, n * (n - 1) // 2),
+                  lambda n, p, rng: build_graph(n, _gnp(n, p, rng)), "vertex pair"),
+    "planar3tree": Family((("n", 3),), True, lambda n: (n, 3 * n - 6),
+                          lambda n, rng: graph_of_lists(lambda: _planar3tree(n, rng))),
 }
 
 FAMILIES = tuple(TABLE)
@@ -135,8 +161,8 @@ def _fmt_num(x: int | float) -> str:
     return str(int(x)) if isinstance(x, int) or x == int(x) else repr(x)
 
 
-def _checked(spec: GenSpec) -> tuple[Family, list[int | float], int]:
-    """The spec's family, its converted parameters and its vertex count; raises
+def _checked(spec: GenSpec) -> tuple[Family, list[int | float]]:
+    """The spec's family and its converted parameters; raises
     ValueError unless every parameter is in range and the size within the bounds."""
     family = TABLE.get(spec.family)
     if family is None:
@@ -160,13 +186,13 @@ def _checked(spec: GenSpec) -> tuple[Family, list[int | float], int]:
     n, m = family.size(*args)
     if reason := size_error(n, m, family.counts):
         raise ValueError(reason)
-    return family, args, n
+    return family, args
 
 
 def generate(spec: GenSpec) -> Graph:
     """Generate the graph described by ``spec``; deterministic per (family, params, seed)."""
-    family, args, n = _checked(spec)
-    return build_graph(n, family.edges(*args, random.Random(spec.seed)))
+    family, args = _checked(spec)
+    return family.graph(*args, random.Random(spec.seed))
 
 
 _SPEC_RE = re.compile(r"^([a-z_][a-z0-9_]*)\((.*)\)$")

@@ -6,7 +6,7 @@ import gc
 import json
 from dataclasses import dataclass
 from itertools import chain, count, islice
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 # Per format, the prefix of the "n m" header line and the tag of each edge row.
 _TEXT_TAGS = {"edgelist": ("", ""), "dimacs": ("p edge ", "e ")}
@@ -25,7 +25,8 @@ class Graph:
     """Immutable simple undirected graph on vertices 1..n.
 
     ``adjacency[v]`` is the sorted tuple of neighbours of v; index 0 is unused.
-    Construct through :func:`build_graph`, which validates the edge list.
+    Construct through :func:`build_graph`, which validates the edge list, or
+    :func:`graph_of_lists`, which trusts its caller's sorted lists.
     """
 
     n: int
@@ -60,44 +61,59 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     :func:`save_graph` writes it and most generators make it.  Such a list
     leaves each adjacency sorted, lower neighbours first, and free of repeats;
     any other list then gets the per-vertex sort and duplicate scan.  The
-    lists are then frozen into tuples in place, a block of vertices at a
-    time, so lists and tuples never coexist in full.
-
-    The cyclic garbage collector is paused for the build and then restored to
-    the state it was found in, also when the build raises: the state is
-    process-wide, so a caller that had it off keeps it off.  The build makes
-    no cycles, but its fresh lists and tuples set off collections that each
-    walk all of them again: more than half the time of a 10^5-vertex build.
+    lists are frozen by :func:`graph_of_lists`.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if reason := size_error(n, 0):
         raise ValueError(reason)
+    return graph_of_lists(lambda: _edge_lists(n, edges))
+
+
+def _edge_lists(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    ordered, lu, lv = True, 0, 0
+    for u, v in edges:
+        if not 0 < u < v <= n:
+            if not 0 < v < u <= n:
+                raise ValueError(_edge_error(n, u, v))
+            ordered = False
+        elif ordered and not (lu < u or lu == u and lv < v):
+            ordered = False
+        lu, lv = u, v
+        adj[u].append(v)
+        adj[v].append(u)
+    if not ordered:
+        for u, a in enumerate(adj):
+            a.sort()
+            if len(set(a)) < len(a):
+                v = next(v for v, w in zip(a, a[1:]) if v == w)
+                raise ValueError(f"duplicate edge {(u, v)}")
+    return adj
+
+
+def graph_of_lists(lists: Callable[[], list[list[int]] | list[tuple[int, ...]]]) -> Graph:
+    """The Graph on 1..n whose adjacency is the n + 1 lists that ``lists()``
+    returns, list 0 empty and each other list sorted and free of repeats: the
+    caller vouches for that, nothing here checks it.  The lists are frozen
+    into tuples in place, a block of vertices at a time, so lists and tuples
+    never coexist in full; a tuple among them is kept as it is.
+
+    The cyclic garbage collector is paused while ``lists()`` runs and the
+    lists are frozen, and then restored to the state it was found in, also
+    when ``lists()`` raises: the state is process-wide, so a caller that had
+    it off keeps it off.  A build makes no cycles, but its fresh lists and
+    tuples set off collections that each walk all of them again: more than
+    half the time of a 10^5-vertex build.
+    """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
-        ordered, lu, lv = True, 0, 0
-        for u, v in edges:
-            if not 0 < u < v <= n:
-                if not 0 < v < u <= n:
-                    raise ValueError(_edge_error(n, u, v))
-                ordered = False
-            elif ordered and not (lu < u or lu == u and lv < v):
-                ordered = False
-            lu, lv = u, v
-            adj[u].append(v)
-            adj[v].append(u)
-        if not ordered:
-            for u, a in enumerate(adj):
-                a.sort()
-                if len(set(a)) < len(a):
-                    v = next(v for v, w in zip(a, a[1:]) if v == w)
-                    raise ValueError(f"duplicate edge {(u, v)}")
+        adj = lists()
         step = 1 << 12
-        for a in range(0, n + 1, step):
+        for a in range(0, len(adj), step):
             adj[a:a + step] = map(tuple, adj[a:a + step])
-        return Graph(n=n, adjacency=tuple(adj))
+        return Graph(n=len(adj) - 1, adjacency=tuple(adj))
     finally:
         if collecting:
             gc.enable()

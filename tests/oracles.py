@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph, degeneracy_order
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
+from cfcolour.generators import FACE_CHUNK
 from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
 from cfcolour.reach import _check_covers, _check_limit, _check_radius, _within
 
@@ -867,6 +868,58 @@ def reference_generate(spec: GenSpec) -> Graph:
             faces += [(a, b, v), (a, c, v), (b, c, v)]
         return build_graph(n, edges)
     raise AssertionError(f"unhandled family {f!r}")
+
+
+# The edge lists that grid and planar3tree gave build_graph before they built
+# their sorted adjacency lists directly: the shared ids and the Fenwick tree
+# over face chunks, verbatim.
+def reference_grid_edges(r: int, c: int, rng: random.Random) -> list[tuple[int, int]]:
+    # Endpoints come from one list, so the graph holds one int object per
+    # vertex rather than a new one per endpoint occurrence.
+    ids = list(range(r * c + 1))
+    edges = []
+    for i in range(r):
+        for j in range(c):
+            v = i * c + j + 1  # row-major numbering
+            if j + 1 < c:
+                edges.append((ids[v], ids[v + 1]))
+            if i + 1 < r:
+                edges.append((ids[v], ids[v + c]))
+    return edges
+
+
+def reference_fenwick_planar3tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Insert each vertex v >= 4 into the live face ``randrange(2v - 7)``, the
+    live faces counted in creation order.  The faces are kept in chunks, and
+    a Fenwick tree (Fenwick, SPE 1994) over the chunks' live counts finds the
+    one drawn in O(log n) steps."""
+    edges = [(1, 2), (2, 3), (1, 3)]
+    size = 1 << (max(n - 4, 0) // FACE_CHUNK).bit_length()  # a power of two, at least the chunk count
+    # Chunk j holds the faces made by the vertices 4 + j * FACE_CHUNK up to
+    # 3 + (j + 1) * FACE_CHUNK, chunk 0 also the first face.  Every chunk counts
+    # as full from the start: randrange draws below the live count, so the
+    # descent never passes the chunk being filled.
+    chunks: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
+    chunks[0].append((1, 2, 3))
+    tree = [3 * FACE_CHUNK] * (size + 1)  # tree[j] sums chunks j - (j & -j) .. j - 1
+    tree[1] += 1
+    for j in range(1, size):
+        tree[j + (j & -j)] += tree[j]
+    steps = [size >> k for k in range(1, size.bit_length())]  # tree[size] exceeds every draw
+    for v in range(4, n + 1):
+        i, j = rng.randrange(2 * v - 7), 0
+        for step in steps:
+            if tree[j + step] <= i:
+                j += step
+                i -= tree[j]
+        a, b, c = chunks[j].pop(i)
+        j += 1
+        while j <= size:
+            tree[j] -= 1
+            j += j & -j
+        edges += [(a, v), (b, v), (c, v)]
+        chunks[(v - 4) // FACE_CHUNK] += [(a, b, v), (a, c, v), (b, c, v)]
+    return edges
 
 
 # Graph building and writing before the sorted-adjacency duplicate check: a

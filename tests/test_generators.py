@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from operator import lt
 from pathlib import Path
@@ -17,8 +18,15 @@ from cfcolour import (
     parse_genspec,
     save_graph,
 )
+from cfcolour import generators
 from cfcolour.generators import FACE_CHUNK, TABLE, parse_params
-from oracles import reference_generate, reference_graph_id, reference_validate_params
+from oracles import (
+    reference_fenwick_planar3tree_edges,
+    reference_generate,
+    reference_graph_id,
+    reference_grid_edges,
+    reference_validate_params,
+)
 
 
 def degrees(g):
@@ -37,12 +45,16 @@ def test_cycle_contract():
     assert degrees(g) == [2] * 5
 
 
-def test_cycle_edges_increase_and_give_the_graph_of_the_creation_order():
+def test_cycle_edges_increase_and_give_the_graph_of_the_creation_order(monkeypatch):
     # (1, n) comes second, so the list strictly increases and build_graph checks it in bulk.
+    # The edge list is caught on its way from the family's TABLE entry to build_graph.
+    seen = []
+    monkeypatch.setattr(generators, "build_graph", lambda n, edges: seen.append(edges) or build_graph(n, edges))
     for n in range(3, 41):
-        edges = TABLE["cycle"].edges(n, None)
+        g = generate(GenSpec("cycle", (n,)))
+        edges = seen.pop()
         assert all(map(lt, edges, edges[1:])) and all(u < v for u, v in edges)
-        assert generate(GenSpec("cycle", (n,))) == build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+        assert g == build_graph(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
 
 
 def test_complete_contract():
@@ -271,6 +283,22 @@ def test_generators_match_the_reference_on_the_perf_corpus(spec):
 @pytest.mark.parametrize("seed", [0, 1, 13])
 def test_planar3tree_matches_the_reference_across_face_chunks(n, seed):
     assert_same_as_reference(GenSpec("planar3tree", (n,), seed))
+
+
+# grid and planar3tree build their sorted adjacency directly; the edge lists
+# they gave build_graph before, the Fenwick tree's included, must give the
+# same graph.  The sizes end in the first face chunk, just before and just
+# after the second one opens, and over two hundred chunks.
+@pytest.mark.parametrize("n", [3, 4, 5, FACE_CHUNK + 3, FACE_CHUNK + 4, 2 * 10**5])
+@pytest.mark.parametrize("seed", [0, 1, 13])
+def test_planar3tree_equals_the_graph_of_the_fenwick_edge_list(n, seed):
+    want = build_graph(n, reference_fenwick_planar3tree_edges(n, random.Random(seed)))
+    assert generate(GenSpec("planar3tree", (n,), seed)) == want
+
+
+@pytest.mark.parametrize("r, c", [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1), (2, 2), (2, 5), (5, 2), (4, 6), (250, 400)])
+def test_grid_equals_the_graph_of_its_edge_list(r, c):
+    assert generate(GenSpec("grid", (r, c))) == build_graph(r * c, reference_grid_edges(r, c, random.Random(0)))
 
 
 def test_planar3tree_at_the_given_order_size_is_pinned():

@@ -21,9 +21,8 @@ from cfcolour import (
     save_graph,
     save_ordering,
 )
-from cfcolour.generators import TABLE
 from cfcolour.graph import MAX_VERTICES, written_ints
-from oracles import whole_ints
+from oracles import reference_fenwick_planar3tree_edges, reference_grid_edges, whole_ints
 
 
 def test_build_two_vertices_one_edge():
@@ -77,13 +76,14 @@ def test_build_takes_a_list_or_a_one_shot_iterator(wrap):
 
 @pytest.mark.parametrize("family, params", [("planar3tree", (20000,)), ("grid", (100, 200))])
 def test_build_graph_keeps_no_copy_of_the_edges(family, params):
-    # The endpoint lists in the order the family emits them: planar3tree's do
-    # not increase, grid's do.  The graph's size is summed with getsizeof: the
-    # traced memory it keeps drops when freed tuples are reused.  Measured on
-    # Python 3.11, the one pass peaks at 1.8-2.3x that size, and a copy of the
-    # edge list, one tuple per edge, at 3.7-4.3x.
+    # The endpoint lists in the order the family's old edge lists gave them:
+    # planar3tree's do not increase, grid's do.  The graph's size is summed
+    # with getsizeof: the traced memory it keeps drops when freed tuples are
+    # reused.  Measured on Python 3.11, the one pass peaks at 1.8-2.3x that
+    # size, and a copy of the edge list, one tuple per edge, at 3.7-4.3x.
     want = generate(GenSpec(family, params, 1))
-    us, vs = map(list, zip(*TABLE[family].edges(*params, random.Random(1))))
+    edges = {"planar3tree": reference_fenwick_planar3tree_edges, "grid": reference_grid_edges}[family]
+    us, vs = map(list, zip(*edges(*params, random.Random(1))))
     tracemalloc.start()
     try:
         g = build_graph(want.n, zip(us, vs))
@@ -93,6 +93,23 @@ def test_build_graph_keeps_no_copy_of_the_edges(family, params):
     assert g == want
     kept = sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, g.adjacency))
     assert peak < 3 * kept, peak / kept
+
+
+@pytest.mark.parametrize("family, params, bound", [("planar3tree", (20000,), 3), ("grid", (100, 200), 2.5)])
+def test_generate_keeps_no_edge_list(family, params, bound):
+    # grid and planar3tree build their sorted adjacency directly.  Measured on
+    # Python 3.11 against the graph's getsizeof as above, generate peaks at
+    # 2.3x (planar3tree: its lists, then its faces, three ints each) and 1.6x
+    # (grid: its tuples); through an edge list and build_graph, one tuple per
+    # edge, they peaked at 4.1x and 3.4x.
+    tracemalloc.start()
+    try:
+        g = generate(GenSpec(family, params, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sys.getsizeof(g.adjacency) + sum(map(sys.getsizeof, g.adjacency))
+    assert peak < bound * kept, peak / kept
 
 
 @pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
@@ -326,8 +343,8 @@ def test_loaded_graph_holds_one_int_object_per_vertex():
 
 
 def test_generated_grid_holds_one_int_object_per_vertex():
-    # Its edge builder computes endpoints with arithmetic; each endpoint still
-    # comes from one shared int per vertex.
+    # Its builder zips slices of one list of ids, so each neighbour is the
+    # shared int of its vertex.
     g = generate(GenSpec("grid", (250, 400)))
     assert len(set(map(id, chain.from_iterable(g.adjacency)))) == g.n
 

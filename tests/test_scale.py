@@ -4,7 +4,6 @@ orderers and the exact oracles stay fast."""
 
 import json
 import os
-import random
 import subprocess
 import sys
 import time
@@ -25,7 +24,6 @@ from cfcolour import (
     min_backreach_order,
     verify_colouring,
 )
-from cfcolour.generators import TABLE
 
 # The heap orderers take well under a second on both graphs together; the
 # quadratic scans they replaced needed tens of seconds.  The bound leaves
@@ -42,6 +40,8 @@ EXACT_CALL_BOUND_S = 0.25
 
 # planar3tree's edges at n = 2*10^5 took 1.0-1.1 s on a 2-vCPU VM with the
 # chunked Fenwick tree, and 5.6-6.1 s with the quadratic list pops it replaced.
+# generate builds the sorted adjacency with no edge list; the whole call took
+# 0.82-0.91 s there (0.98-1.18 s through the edge list and build_graph).
 PLANAR3TREE_BOUND_S = 3.0
 
 
@@ -89,16 +89,19 @@ def test_exact_oracles_prune_during_the_search():
 
 def test_planar3tree_generation_is_near_linear():
     started = time.perf_counter()
-    edges = TABLE["planar3tree"].edges(200000, random.Random(1))
+    g = generate(GenSpec("planar3tree", (200000,), seed=1))
     elapsed = time.perf_counter() - started
-    assert len(edges) == 3 * 200000 - 6
-    assert elapsed < PLANAR3TREE_BOUND_S, f"planar3tree(200000) edges took {elapsed:.1f}s"
+    assert g.m == 3 * 200000 - 6
+    assert elapsed < PLANAR3TREE_BOUND_S, f"planar3tree(200000) took {elapsed:.1f}s"
 
 
-# The opt-in run at the vertex bound, Theorem 1 on grid(1000, 1000).  On a
-# 2-vCPU VM the child took 14-19 s and peaked at 291-299 MB on Python
-# 3.10-3.13; the generated graph and its text set the peak.  With the writers'
-# line lists and a reader of the whole text at once it peaked at 368 MB.
+# The opt-in runs at the vertex bound, each in a child process so that its
+# ru_maxrss is the run's alone.  Theorem 1 on grid(1000, 1000): on a 2-vCPU VM
+# the child took 14-19 s and peaked at 291-299 MB on Python 3.10-3.13, when the
+# generated graph and its text set the peak.  With the graph generated as
+# sorted adjacency, min_backreach_order sets it: 259 MB on Python 3.11.  With
+# the writers' line lists and a reader of the whole text at once it peaked at
+# 368 MB.
 SCALE_OPT_IN = "CFCOLOUR_SCALE_TEST"
 SCALE_BOUND_S = 120.0
 SCALE_BOUND_MB = 360
@@ -118,18 +121,36 @@ json.dump({"n": g.n, "r": r, "used": col.used, "palette": col.palette, "verdicts
            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, sys.stdout)
 """
 
+# Generating planar3tree(10^6, seed=1) alone took the child 5.4-7.7 s and
+# 245-262 MB on Python 3.11 on the same VM.  Through an edge list, one tuple
+# per edge, and build_graph's sort it took 7.1-8.1 s and 484 MB.
+PLANAR3TREE_SCALE_BOUND_S = 60.0
+PLANAR3TREE_SCALE_BOUND_MB = 300
 
-@pytest.mark.skipif(os.environ.get(SCALE_OPT_IN) != "1", reason=f"opt-in: set {SCALE_OPT_IN}=1")
-def test_theorem1_at_the_vertex_bound_in_bounded_memory():
-    # grid(1000, 1000) is generated, written and read back in a child process,
-    # so its ru_maxrss is this run's alone; then min_backreach and the greedy.
+PLANAR3TREE_SCALE_CHILD = """
+import json, resource, sys
+from cfcolour import GenSpec, generate
+g = generate(GenSpec("planar3tree", (10**6,), seed=1))
+json.dump({"n": g.n, "m": g.m, "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, sys.stdout)
+"""
+
+opt_in = pytest.mark.skipif(os.environ.get(SCALE_OPT_IN) != "1", reason=f"opt-in: set {SCALE_OPT_IN}=1")
+
+
+def run_child(code, bound_s):
+    """The JSON the child prints, and the seconds it took."""
     src = str(Path(cfcolour.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     started = time.perf_counter()
-    child = subprocess.run([sys.executable, "-c", SCALE_CHILD], capture_output=True, text=True, env=env,
-                           timeout=2 * SCALE_BOUND_S, check=True)
-    elapsed = time.perf_counter() - started
-    got = json.loads(child.stdout)
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                           timeout=2 * bound_s, check=True)
+    return json.loads(child.stdout), time.perf_counter() - started
+
+
+@opt_in
+def test_theorem1_at_the_vertex_bound_in_bounded_memory():
+    # grid(1000, 1000) is generated, written and read back; then min_backreach and the greedy.
+    got, elapsed = run_child(SCALE_CHILD, SCALE_BOUND_S)
     assert got["n"] == 10**6
     assert got["verdicts"] == {"proper": True, "odd": True, "conflict_free": True}
     assert got["palette"] == 2 * got["r"] - 1
@@ -137,3 +158,12 @@ def test_theorem1_at_the_vertex_bound_in_bounded_memory():
     assert elapsed < SCALE_BOUND_S, f"the child took {elapsed:.0f}s"
     # ru_maxrss is in KiB on Linux.
     assert got["maxrss_kb"] < SCALE_BOUND_MB * 1024, got["maxrss_kb"] / 1024
+
+
+@opt_in
+def test_planar3tree_generation_at_the_vertex_bound_in_bounded_memory():
+    got, elapsed = run_child(PLANAR3TREE_SCALE_CHILD, PLANAR3TREE_SCALE_BOUND_S)
+    assert (got["n"], got["m"]) == (10**6, 3 * 10**6 - 6)
+    assert elapsed < PLANAR3TREE_SCALE_BOUND_S, f"the child took {elapsed:.0f}s"
+    # ru_maxrss is in KiB on Linux.
+    assert got["maxrss_kb"] < PLANAR3TREE_SCALE_BOUND_MB * 1024, got["maxrss_kb"] / 1024
