@@ -134,7 +134,7 @@ def load_corpus(text: str) -> list[GenSpec | str]:
     graph file path per line; '#' lines are comments."""
     lines = DataLines("corpus", text)
     items: list[GenSpec | str] = []
-    for i, ln in enumerate(lines.rows):
+    for i, ln in enumerate(lines.data_rows(text)):
         if "(" in ln and ln.endswith(")"):
             try:
                 items.append(parse_genspec(ln))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Collection, Literal, Sequence, get_args
 
-from .graph import DataLines, Graph, written_ints
+from .graph import DataLines, Graph
 from .reach import VertexOrdering, _check_covers, _check_limit, _reach2
 
 Criterion = Literal["proper", "odd", "conflict_free"]
@@ -198,40 +198,35 @@ def load_colouring(text: str) -> Colouring:
     """Read a colouring file's text: header "n c", then n lines "v colour",
     one per vertex in any order.  A vertex out of range, listed twice, or with
     a colour outside 1..c is an error naming its line; a body of the wrong
-    length or a negative c is an error naming the header's line.  A file as
-    :func:`save_colouring` writes it, vertices 1..n in order, loads on its
-    chunked read (:func:`~cfcolour.graph.written_ints`); any other text, or a
-    fault, goes whole to the line reader, which raises every error."""
-    try:
-        chunks = written_ints(text, 2)
-        head = next(chunks)
-        n, c = head[0], head[1]
-        del head[:2]
-        vertices, parts = count(1), []  # the vertices the lines must list; each chunk's colours
-        for fields in chain([head], chunks):
-            if fields[::2] != list(islice(vertices, len(fields) // 2)):
-                raise ValueError("not in vertex order")
+    length or a negative c is an error naming the header's line.  While the
+    lines list vertices 1, 2, ... in order, as :func:`save_colouring` writes
+    them, only the colours of each chunk :class:`~cfcolour.graph.DataLines` reads are kept."""
+    lines = DataLines("colouring file", text, 2, "v colour", ("header", "n c"))
+    parts: list[list[int]] = []  # each chunk's colours, while the lines list 1, 2, ...
+    rest: list[int] = []  # the fields from the first chunk out of that order on
+    vertices = count(1)
+    for fields in lines.chunks():
+        if not rest and fields[::2] == list(islice(vertices, len(fields) // 2)):
             del fields[::2]
             parts.append(fields)
-        if next(vertices) == n + 1:
-            return Colouring(colours=tuple(chain.from_iterable(parts)), palette=c)
-    except ValueError:
-        pass  # not in the written shape, or faulty: read it line by line
-    lines = DataLines("colouring file", text)
-    if not lines.rows:
-        raise ValueError("colouring file: missing 'n c' header line")
-    n, c = lines.ints("header", "n c", 1)[:2]
+        else:
+            rest += fields
+    n, c = lines.header("missing 'n c' header line")
     # The count goes first, so a header far beyond the body allocates nothing.
-    if len(lines.rows) - 1 != n:
-        raise lines.error(0, f"header declares {n} vertices, body has {len(lines.rows) - 1} lines")
-    fields = lines.ints("line", "v colour")
-    colours: list[int | None] = [None] * n
-    for i, (v, colour) in enumerate(zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)), 1):
-        if not 1 <= v <= n:
-            raise lines.error(i, f"vertex {v} out of range 1..{n}")
-        if colours[v - 1] is not None:
-            raise lines.error(i, f"vertex {v} listed twice")
-        colours[v - 1] = colour
+    if lines.rows - 1 != n:
+        raise lines.error(0, f"header declares {n} vertices, body has {lines.rows - 1} lines")
+    if lines.bad is not None:
+        raise lines.error(lines.bad)
+    colours: Sequence[int | None] = tuple(chain.from_iterable(parts))
+    listed = len(colours)
+    if rest:
+        colours = [*colours, *[None] * (n - listed)]
+        for i, (v, colour) in enumerate(zip(islice(rest, 0, None, 2), islice(rest, 1, None, 2)), listed + 1):
+            if not 1 <= v <= n:
+                raise lines.error(i, f"vertex {v} out of range 1..{n}")
+            if colours[v - 1] is not None:
+                raise lines.error(i, f"vertex {v} listed twice")
+            colours[v - 1] = colour
     try:
         return Colouring(colours=tuple(colours), palette=c)
     except ValueError as err:
@@ -239,7 +234,7 @@ def load_colouring(text: str) -> Colouring:
             raise lines.error(0, str(err)) from None
         # err names the smallest vertex whose colour is outside 1..c; so does the line.
         v = next(v for v, colour in enumerate(colours, 1) if not 1 <= colour <= c)
-        raise lines.error(fields[2::2].index(v) + 1, str(err)) from None
+        raise lines.error(v if v <= listed else listed + 1 + rest[::2].index(v), str(err)) from None
 
 
 def save_colouring(col: Colouring) -> str:

@@ -137,155 +137,162 @@ def size_error(n: int, m: int, counts: str = "edge") -> str | None:
     return None
 
 
-# Deleting every digit from a text in the shape the package writes leaves
+# Deleting every digit from a chunk in the shape the package writes leaves
 # cols - 1 spaces and a newline per line; the spaces and newlines then become
 # the commas of one JSON array.
 _DIGITS = b"0123456789"
 _COMMAS = bytes.maketrans(b" \n", b",,")
-# The characters of text in a chunk of written_ints, rounded up to a whole line.
+# The characters of text in a chunk that DataLines reads, rounded up to a whole line.
 _CHUNK = 1 << 16
 
 
-def written_ints(text: str, cols: int) -> Iterator[list[int]]:
-    """The fields of ``text``, one chunk of whole lines (about 64 KiB) at a
-    time, while it has the exact shape the package writes: ASCII, ending in a
-    newline, and every line ``cols`` runs of digits joined by single spaces.
-
-    The first chunk off that shape raises ValueError, so a caller that reads
-    every chunk has checked the whole text.  Each chunk is encoded, checked and
-    parsed by JSON on its own, so the text is never copied whole."""
-    if not text.isascii() or not text.endswith("\n"):
-        raise ValueError("not in the written shape")
-    line = b" " * (cols - 1) + b"\n"
-    a = 0
-    while a < len(text):
-        b = text.find("\n", a + _CHUNK - 1) + 1 or len(text)
-        data = text[a:b].encode()
+def _written_fields(text: str, a: int, b: int, cols: int) -> list[int] | None:
+    # The fields of text[a:b] if in the shape the package writes, ``cols`` a
+    # line, else None; a last line with no newline would parse as no line.
+    try:
+        data = text[a:b].encode("ascii")
         rows = data.count(b"\n")
-        if data.translate(None, _DIGITS) != line * rows:
-            raise ValueError("not in the written shape")
+        if not data.endswith(b"\n") or data.translate(None, _DIGITS) != (b" " * (cols - 1) + b"\n") * rows:
+            return None
         # JSON rejects a leading zero, which int() reads, and an empty field
         # between commas; the count rejects a chunk of one empty line.
         fields = json.loads(b"[" + data[:-1].translate(_COMMAS) + b"]")
-        if len(fields) != cols * rows:
-            raise ValueError("not in the written shape")
-        yield fields
-        a = b
+    except ValueError:
+        return None
+    return fields if len(fields) == cols * rows else None
 
 
 class DataLines:
-    """The line reader: the stripped ``rows`` of a file's text, a str, that
-    are neither blank nor comments (lines starting with ``comment``), parsed
-    by :meth:`ints` into one flat list of int fields.  Line numbers are
-    counted again only to report an error.  A written edgelist, ordering or
-    colouring comes here only when its loader's chunked read refused it."""
+    """The one reader of file text.  Its data lines are the stripped lines
+    that are neither blank nor comments (starting with ``comment``): the
+    header, if ``head`` names it and gives its shape, then the ``body``
+    lines.  A shape ends in ``cols`` int fields, after any tags (DIMACS).
+    :meth:`chunks` reads the text in chunks of whole lines, each parsed by JSON
+    if in the shape the package writes (``written`` while all are), else split
+    by :meth:`data_rows` and read by ``int()``.  It counts the data lines
+    (``rows``), keeps the header's fields (``head``) and records the first
+    malformed line (``bad``), after which it reads no fields."""
 
-    def __init__(self, fmt: str, text: str, comment: Literal["#", "c"] = "#"):
-        self.fmt, self.comment, self.text = fmt, comment, text
-        self.rows, self.fields = self.data_rows(), []
-        self.parsed = 0  # rows already parsed into fields
+    def __init__(self, fmt: str, text: str, cols: int = 0, body: str = "",
+                 head: tuple[str, str] | None = None, comment: Literal["#", "c"] = "#"):
+        self.fmt, self.text, self.cols, self.body, self.shape, self.comment = fmt, text, cols, body, head, comment
 
-    def data_rows(self) -> list[str]:
-        return [ln for ln in map(str.strip, self.text.splitlines()) if ln and not ln.startswith(self.comment)]
+    def data_rows(self, chunk: str) -> list[str]:
+        return [ln for ln in map(str.strip, chunk.splitlines()) if ln and not ln.startswith(self.comment)]
 
-    def error(self, i: int, what: str, expected: str | None = None) -> ValueError:
-        """A ValueError about data line ``i`` that names the format and the 1-based line."""
-        lines = enumerate(map(str.strip, self.text.splitlines()), 1)
-        numbers = (k for k, ln in lines if ln and not ln.startswith(self.comment))
-        tail = "" if expected is None else f", expected {expected!r}"
-        return ValueError(f"{self.fmt}: {what} at line {next(islice(numbers, i, None))}{tail}")
+    def chunks(self) -> Iterator[list[int]]:
+        """Read the text from its start, and yield each chunk's body fields."""
+        self.rows, self.head, self.bad = 0, [], None
+        cols, text = self.cols, self.text
+        self.written = len(self.body.split()) == cols  # no tags
+        b = 0
+        while b < len(text):
+            a, b = b, text.find("\n", b + _CHUNK - 1) + 1 or len(text)
+            fields = _written_fields(text, a, b, cols) if self.written else None
+            if fields is None:
+                self.written = False
+                yield self._read(self.data_rows(text[a:b]))
+                continue
+            first, self.rows = self.rows, self.rows + len(fields) // cols
+            if not first and self.shape:
+                self.head = fields[:cols]
+                del fields[:cols]
+            yield fields
 
-    def ints(self, kind: str, shape: str, stop: int | None = None, tags: int = 0) -> list[int]:
-        """The int fields of the rows, flat and in order, each row parsed once
-        and only up to ``stop``, so a header can be checked before the body.
-        Each row must have the words of ``shape``: ``tags`` tags, which the
-        caller checks, then int fields; the parse itself names the first row
-        that does not as a malformed ``kind``, counting the rows it reads."""
-        width = shape.count(" ") + 1
-        rows, seen = self.rows[self.parsed:stop], count(self.parsed)
+    def _read(self, rows: list[str]) -> list[int]:
+        # The body fields of a split chunk's data lines; its rows are freed on return.
+        first, self.rows = self.rows, self.rows + len(rows)
+        if first or not rows or not self.shape:
+            return self._ints(rows, first, self.body)
+        self.head = self._ints(rows[:1], 0, self.shape[1])
+        return self._ints(islice(rows, 1, None), 1, self.body)
+
+    def _ints(self, rows: Iterable[str], first: int, shape: str) -> list[int]:
+        # The int fields of ``rows``, data lines first on; a row without the
+        # words of ``shape`` hands int() an empty word.
+        if self.bad is not None:
+            return []
+        words = shape.split()
+        width, tags = len(words), len(words) - self.cols
+        lits, seen = words[:tags], count(first)
         try:
-            # A row of another width hands int() an empty word, which it refuses.
-            self.fields += [int(word) for words, _ in zip(map(str.split, rows), seen)
-                            for word in (words[tags:] if len(words) == width else [""])]
+            return [int(w) for ws, _ in zip(map(str.split, rows), seen)
+                    for w in (ws[tags:] if len(ws) == width and (not tags or ws[:tags] == lits) else [""])]
         except ValueError:
-            i = next(seen) - 1  # zip drew the bad row's index just before its words
-            raise self.error(i, f"malformed {kind} {self.rows[i]!r}", shape) from None
-        self.parsed += len(rows)
-        return self.fields
+            self.bad = next(seen) - 1  # zip drew the bad row's index just before its words
+            return []
+
+    def header(self, missing: str) -> list[int]:
+        """The header's fields; with no data line the ``missing`` error, and a malformed header's."""
+        if not self.rows:
+            raise ValueError(f"{self.fmt}: {missing}")
+        if self.bad == 0:
+            raise self.error(0)
+        return self.head
+
+    def error(self, i: int, what: str | None = None) -> ValueError:
+        """A ValueError about data line ``i``, naming the format and the
+        1-based line: ``what``, or with none, that the line is malformed."""
+        lines = enumerate(map(str.strip, self.text.splitlines()), 1)
+        k, row = next(islice(((k, ln) for k, ln in lines if ln and not ln.startswith(self.comment)), i, None))
+        if what is not None:
+            return ValueError(f"{self.fmt}: {what} at line {k}")
+        kind, shape = self.shape if i == 0 and self.shape else ("line", self.body)
+        return ValueError(f"{self.fmt}: malformed {kind} {row!r} at line {k}, expected {shape!r}")
 
 
 def load_graph(text: str, fmt: str = "edgelist") -> Graph:
-    """Parse a graph from the text of an edgelist or DIMACS file.
-
-    An edgelist in the shape :func:`save_graph` writes is read chunk by chunk
-    (see :func:`written_ints`) and its fields mapped to one shared int per
-    vertex, so the adjacency holds one int object per vertex rather than one
-    per entry; :func:`build_graph` then reads the edges chunk by chunk, and
-    frees each chunk once read.  Any fault found on that way sends the whole
-    text to the line reader, :class:`DataLines`, which raises the first error
-    in the documented order.  A DIMACS text is always read line by line."""
-    if fmt == "edgelist":
-        try:
-            return _load_written_edgelist(text)
-        except (ValueError, IndexError):
-            pass  # not in the written shape, or faulty: read it line by line
-        lines = DataLines(fmt, text)
-        if not lines.rows:
-            raise ValueError("edgelist: missing 'n m' header line")
-        n, m = lines.ints("header", "n m", 1)[:2]
-        declared = f"header declares {m} edges but body has {len(lines.rows) - 1} lines"
-        edge_shape, tags = "u v", 0
-    elif fmt == "dimacs":
-        lines = DataLines(fmt, text, comment="c")
-        if not lines.rows:
-            raise ValueError("dimacs: missing 'p edge n m' line")
-        for i, row in enumerate(lines.rows):
-            tag = row.split(None, 1)[0]
-            if tag != ("e" if i else "p"):
+    """Parse a graph from the text of an edgelist or DIMACS file, read by
+    :class:`DataLines`.  While every chunk is in the written shape, its fields
+    are mapped to one shared int per vertex, so the adjacency holds one int
+    object per vertex.  Errors come in order: DIMACS tags, header syntax, the
+    size bound, the count, body syntax, and then the edges."""
+    if fmt not in _TEXT_TAGS:
+        raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    dimacs = fmt == "dimacs"
+    lines = DataLines(fmt, text, 2, "e u v", ("problem line", "p edge n m"), "c") if dimacs else \
+        DataLines(fmt, text, 2, "u v", ("header", "n m"))
+    parts: list[list[int]] = []
+    ids: list[int] | None = None
+    for fields in lines.chunks():
+        if lines.written:
+            # Made after the size and line-count checks; every chunk is mapped before
+            # the build (mapping in its loop was 10% slower).  A field above n stops it.
+            if ids is None:
+                n, m = lines.head
+                ids = [] if size_error(n, m) or text.count("\n") != m + 1 else list(range(n + 1))
+            try:
+                fields[:] = map(ids.__getitem__, fields)
+            except IndexError:
+                ids = []
+        parts.append(fields)
+    if dimacs and lines.bad is not None:
+        # A wrong tag makes its line malformed; the first comes before any other error.
+        for i, row in enumerate(lines.data_rows(text)):
+            if (tag := row.split(None, 1)[0]) != ("e" if i else "p"):
                 known = {"e": "edge line before 'p edge n m' line", "p": "repeated 'p' line"}
                 raise lines.error(i, known.get(tag, f"unknown line prefix {tag!r}"))
-        if lines.rows[0].split()[1:2] != ["edge"]:
-            raise lines.error(0, f"malformed problem line {lines.rows[0]!r}", "p edge n m")
-        n, m = lines.ints("problem line", "p edge n m", 1, tags=2)[:2]
-        declared = f"problem line declares {m} edges but found {len(lines.rows) - 1}"
-        edge_shape, tags = "e u v", 1
-    else:
-        raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
+    n, m = lines.header("missing 'p edge n m' line" if dimacs else "missing 'n m' header line")
     if reason := size_error(n, m):
         raise lines.error(0, reason)
-    if len(lines.rows) - 1 != m:
-        raise lines.error(0, declared)
-    fields = lines.ints("line", edge_shape, tags=tags)
+    if (k := lines.rows - 1) != m:
+        raise lines.error(0, f"problem line declares {m} edges but found {k}" if dimacs
+                          else f"header declares {m} edges but body has {k} lines")
+    if lines.bad is not None:
+        raise lines.error(lines.bad)
+    parts.reverse()
     try:
-        return build_graph(n, zip(islice(fields, 2, None, 2), islice(fields, 3, None, 2)))
+        return build_graph(n, chain.from_iterable(_drain_pairs(parts)))
     except ValueError as err:
-        # Only on the error path: the line of the edge named out of range or a
-        # self-loop.  A duplicate edge or a negative count is raised as it is.
-        bad = (i for i, e in enumerate(zip(fields[2::2], fields[3::2]), 1) if _edge_error(n, *e) == str(err))
-        if (line := next(bad, None)) is None:
-            raise
-        raise lines.error(line, str(err)) from None
-
-
-def _load_written_edgelist(text: str) -> Graph:
-    # The graph of an edgelist in the written shape.  Any other text, or any
-    # fault in it, raises ValueError or IndexError.
-    chunks = written_ints(text, 2)
-    head = next(chunks)
-    n, m = head[0], head[1]
-    if size_error(n, m) or text.count("\n") - 1 != m:
-        raise ValueError("size or count")
-    # Written fields are digit runs, never negative; one above n raises
-    # IndexError.  Every chunk is mapped before the build starts: mapping or
-    # parsing inside the build's loop made it 10% slower on planar3tree(10^5).
-    ids = list(range(n + 1))
-    del head[:2]
-    parsed = []
-    for fields in chain([head], chunks):
-        fields[:] = map(ids.__getitem__, fields)
-        parsed.append(fields)
-    parsed.reverse()
-    return build_graph(n, chain.from_iterable(_drain_pairs(parsed)))
+        # The chunks are freed: the text is read again for the line of the
+        # edge named, the first out of range or a self-loop.  A duplicate
+        # edge or a negative count is raised as it is.
+        if n >= 0:
+            fields = list(chain.from_iterable(lines.chunks()))
+            bad = (i for i, e in enumerate(zip(fields[::2], fields[1::2]), 1) if _edge_error(n, *e))
+            if (line := next(bad, None)) is not None:
+                raise lines.error(line, str(err)) from None
+        raise
 
 
 def _drain_pairs(parsed: list[list[int]]) -> Iterator[Iterator[tuple[int, int]]]:

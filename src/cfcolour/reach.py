@@ -45,7 +45,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .graph import DataLines, Graph, written_ints
+from .graph import DataLines, Graph
 
 
 @dataclass(frozen=True)
@@ -422,16 +422,13 @@ def make_ordering(g: Graph, strategy: str) -> VertexOrdering:
 
 def load_ordering(text: str) -> VertexOrdering:
     """Read an ordering file's text: one 1-based vertex id per line, top line
-    first.  A file as :func:`save_ordering` writes it loads on its chunked read
-    (:func:`~cfcolour.graph.written_ints`); any other text, or a fault, goes
-    whole to the line reader, which raises every error: one that is not a
-    permutation names the first line whose vertex is out of range or repeated."""
-    try:
-        return VertexOrdering(tuple(chain.from_iterable(written_ints(text, 1))))
-    except ValueError:
-        pass  # not in the written shape, or not a permutation: read it line by line
-    lines = DataLines("ordering file", text)
-    seq = tuple(lines.ints("line", "v"))
+    first, read chunk by chunk by :class:`~cfcolour.graph.DataLines`.  A
+    malformed line, or in a text that is no permutation the first line whose
+    vertex is out of range or repeated, is an error naming its line."""
+    lines = DataLines("ordering file", text, 1, "v")
+    seq = tuple(chain.from_iterable(lines.chunks()))
+    if lines.bad is not None:
+        raise lines.error(lines.bad)
     try:
         return VertexOrdering(seq)
     except ValueError as err:

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, count, islice, permutations, product
 from operator import lt
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
@@ -139,6 +139,19 @@ def all_graphs(n: int):
     pairs = list(combinations(range(1, n + 1), 2))
     for bits in range(1 << len(pairs)):
         yield build_graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def square_greedy(g: Graph, ordering: VertexOrdering) -> Colouring:
+    """The baseline Theorem 1 beats: a greedy proper colouring of the square
+    G², along ``ordering``.  Each vertex takes the smallest colour not on any
+    vertex within distance 2, so every neighbourhood has distinct colours: the
+    colouring is proper, odd and conflict-free, and uses at least Δ + 1
+    colours, which no bound on expansion limits."""
+    colours = [0] * (g.n + 1)
+    for v in ordering.seq:
+        near = {colours[x] for u in g.adjacency[v] for x in (u, *g.adjacency[u])}
+        colours[v] = next(c for c in count(1) if c not in near)
+    return Colouring(colours=tuple(colours[1:]), palette=max(colours))
 
 
 # --- differential references -------------------------------------------------

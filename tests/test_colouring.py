@@ -15,10 +15,11 @@ from cfcolour import (
     generate,
     greedy_cf_colouring,
     load_colouring,
+    min_backreach_order,
     save_colouring,
     verify_colouring,
 )
-from oracles import all_graphs, enumerate_chromatic
+from oracles import all_graphs, enumerate_chromatic, square_greedy
 
 
 def path(n):
@@ -297,6 +298,25 @@ def test_greedy_output_is_proper_odd_and_conflict_free(t):
     assert col.used <= col.palette
     for criterion in ("proper", "odd", "conflict_free"):
         assert verify_colouring(g, col, criterion).ok
+
+
+@settings(max_examples=150)
+@given(graph_and_ordering())
+def test_square_greedy_passes_every_criterion_with_at_least_max_degree_plus_one_colours(t):
+    g, ordering = t
+    col = square_greedy(g, ordering)
+    for criterion in ("proper", "odd", "conflict_free"):
+        assert verify_colouring(g, col, criterion).ok
+    assert col.used >= max(map(len, g.adjacency)) + 1
+
+
+def test_theorem_1_greedy_uses_fewer_colours_than_the_square_greedy():
+    # planar3tree has hubs: Δ = 99 here, so the square needs at least 100
+    # colours, while along min_backreach the palette 2 * r2 - 1 is 7.  They
+    # used 7 and 100 (Python 3.11).
+    g = generate(GenSpec("planar3tree", (1000,), 1))
+    ordering = min_backreach_order(g)
+    assert greedy_cf_colouring(g, ordering).used < square_greedy(g, ordering).used
 
 
 @settings(max_examples=100)

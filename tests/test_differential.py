@@ -34,7 +34,7 @@ from cfcolour import (
 )
 from cfcolour.colouring import CRITERIA, _violations
 import cfcolour.graph as graph_module
-from cfcolour.graph import DataLines, written_ints
+from cfcolour.graph import DataLines
 from cfcolour.reach import _peel, _reach, _reach2, _within
 from oracles import (
     ReferenceVertexOrdering,
@@ -531,8 +531,8 @@ def test_builder_accepts_what_the_reference_code_accepts(t, one_shot):
 # --- readers against the earlier line readers -----------------------------
 
 # Per file kind: the loader, the line reader it replaced, and whether the
-# first line is a header.  The loader reads a text in the shape the package
-# writes in one pass, and splits any other text into rows; a DIMACS text is
+# first line is a header.  The loader parses a chunk in the shape the package
+# writes by JSON, and splits any other chunk into rows; a DIMACS text is
 # always split into rows.
 READERS = {
     "graph": (load_graph, reference_parse_edgelist, True),
@@ -647,8 +647,13 @@ def test_one_pass_readers_match_the_line_reader_on_mutated_files(written, mutati
     assert outcome(load, mutated) == outcome(parse_lines, mutated)
 
 
-def no_rows(self):
+def no_rows(self, chunk):
     raise AssertionError("a file in the written shape was split into rows")
+
+
+def written_chunks(text, cols):
+    """DataLines on ``text`` as a body of ``cols`` fields a line, with no header."""
+    return DataLines("text", text, cols, " ".join("v" * cols))
 
 
 @settings(max_examples=150, deadline=None)
@@ -720,7 +725,8 @@ def test_chunked_readers_match_the_line_reader_with_a_fault_in_any_chunk(kind):
     # gives the line reader's graph, ordering or colouring, or its error
     # message with the same line.
     text = large_written_text(kind)
-    assert len(list(written_ints(text, 1 if kind == "ordering" else 2))) >= 3
+    reader = written_chunks(text, 1 if kind == "ordering" else 2)
+    assert len(list(reader.chunks())) >= 3 and reader.written
     load, parse_lines, _ = READERS[kind]
     assert load(text) == parse_lines(text)
     lines = [line_at(text, 100), line_at(text, 3 * graph_module._CHUNK // 2), text.count("\n") - 2]
@@ -744,7 +750,9 @@ def test_chunked_reader_at_a_line_that_ends_on_a_chunk_boundary():
     # characters: its last line ends on the boundary.
     chunk = graph_module._CHUNK
     text = next(t for t in map(large_written_text, ["graph"] * 200, range(200)) if t[chunk - 1] == "\n")
-    first = next(written_ints(text, 2))
+    reader = written_chunks(text, 2)
+    first = next(reader.chunks())
+    assert reader.written
     assert len(first) == 2 * text.count("\n", 0, chunk)
     assert load_graph(text) == reference_parse_edgelist(text)
     with pytest.MonkeyPatch.context() as patch:
@@ -758,7 +766,7 @@ def test_chunked_reader_at_a_line_that_ends_on_a_chunk_boundary():
 
 def test_an_out_of_range_endpoint_in_the_first_chunk_does_not_hide_a_later_malformed_line():
     # Body syntax comes before content: the endpoint above n in chunk 1 stops
-    # the chunked read, and the line reader then names the malformed line.
+    # only the shared-int mapping, and the malformed line in the last chunk is named.
     text = large_written_text("graph")
     last = text.count("\n") - 2
     faulty = with_fault(with_fault(text, "graph", "field above n", 5), "graph", "malformed", last)
@@ -783,9 +791,53 @@ def test_chunk_size_does_not_change_any_read(written, mutation, data):
     with pytest.MonkeyPatch.context() as patch:
         for size in range(1, len(mutated) + 2):
             patch.setattr(graph_module, "_CHUNK", size)
-            try:
-                fields = list(chain.from_iterable(written_ints(mutated, cols)))
-            except ValueError:
-                fields = None
-            assert fields == whole_ints(mutated, cols), size
+            reader = written_chunks(mutated, cols)
+            fields = list(chain.from_iterable(reader.chunks()))
+            assert (fields if reader.written else None) == whole_ints(mutated, cols), size
             assert outcome(load, mutated) == want, size
+
+
+def small_written_text(kind):
+    """A text the package writes, of a few hundred lines; an ordering's last
+    line is one digit."""
+    if kind in ("graph", "dimacs"):
+        return save_graph(generate(GenSpec("planar3tree", (60,), 1)), "dimacs" if kind == "dimacs" else "edgelist")
+    ordering = VertexOrdering.reverse(200)
+    if kind == "ordering":
+        return save_ordering(ordering)
+    return save_colouring(Colouring(tuple(v % 5 + 1 for v in ordering.seq), 5))
+
+
+@pytest.mark.parametrize("kind", ONE_PASS_KINDS)
+def test_a_last_line_with_no_newline_alone_in_its_chunk_is_read(kind):
+    # A chunk ends at the first newline at or past _CHUNK - 1 characters on,
+    # so the first chunk ends just before the last line, which has no final
+    # newline: it must not parse as a written chunk of no lines.
+    text = small_written_text(kind)[:-1]
+    load, parse_lines, _ = READERS[kind]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK", text.rindex("\n") + 1)
+        assert load(text) == parse_lines(text)
+
+
+HEADER_FAULTS = {
+    "valid header": lambda head: head,
+    "malformed header": lambda head: head + " x",
+    "count mismatch": lambda head: head[:-1] + str(int(head[-1]) + 1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(HEADER_FAULTS))
+@pytest.mark.parametrize("kind", ["colouring", "dimacs", "graph"])
+def test_a_header_past_the_first_chunk_is_read(kind, fault):
+    # About 2000 comment lines ahead of the header fill more than one chunk,
+    # so the first data line, the header, lies in a later one.
+    text = small_written_text(kind)
+    head, body = text.split("\n", 1)
+    comments = f"{'c' if kind == 'dimacs' else '#'} a comment line, one of 2000 ahead of the header\n" * 2000
+    assert len(comments) > graph_module._CHUNK
+    faulty = comments + HEADER_FAULTS[fault](head) + "\n" + body
+    load, parse_lines, _ = READERS[kind]
+    assert outcome(load, faulty) == outcome(parse_lines, faulty)
+    if fault == "valid header":
+        assert load(faulty) == parse_lines(text)

@@ -21,7 +21,7 @@ from cfcolour import (
     save_graph,
     save_ordering,
 )
-from cfcolour.graph import MAX_VERTICES, written_ints
+from cfcolour.graph import MAX_VERTICES, DataLines
 from oracles import reference_fenwick_planar3tree_edges, reference_grid_edges, whole_ints
 
 
@@ -195,16 +195,16 @@ def test_load_edgelist_out_of_range_endpoint():
         ("3\n", "malformed header"),
         ("3 2\n1 2\n", "declares 2 edges"),
         ("3 1\n1 2\n2 3\n", "declares 1 edges"),
-        # A count mismatch names the header's line, in a file read in one pass
-        # and in one read line by line.
+        # A count mismatch names the header's line, in a written file and in
+        # one split into lines.
         ("3 1\n1 2\n2 3\n", "edgelist: header declares 1 edges but body has 2 lines at line 1"),
         ("# n m\n3 2\n1 2\n", "edgelist: header declares 2 edges but body has 1 lines at line 2"),
         ("# n m\n\n3\n", "edgelist: malformed header '3' at line 3, expected 'n m'"),
         ("3 2\n1 2\n# next\n2 x\n", "edgelist: malformed line '2 x' at line 4, expected 'u v'"),
         ("3 1\n\n1 2 3\n", "malformed line '1 2 3' at line 3"),
-        # -1 is a field of the line reader, and an endpoint out of range.  An
-        # endpoint out of range or a self-loop is named with its line, read
-        # in one pass or line by line; a duplicate edge or a negative vertex
+        # -1 is a field of a split line, and an endpoint out of range.  An
+        # endpoint out of range or a self-loop is named with its line, in a
+        # written chunk or a split one; a duplicate edge or a negative vertex
         # count is no one line's fault.
         pytest.param("3 1\n-1 2\n", re.escape("edgelist: edge (-1,2): endpoint -1 out of range 1..3 at line 2") + "$",
                      id="negative field"),
@@ -269,6 +269,14 @@ def test_edge_count_limit_rejects_before_allocating(fmt, text):
     assert peak < 1 << 16
 
 
+def test_a_count_mismatch_rejects_before_allocating():
+    # A written header within the size bound, over a body of the wrong length:
+    # the shared ints of its 10^6 vertices are never made.
+    message, peak = load_error_and_peak("1000000 5\n1 2\n", "edgelist")
+    assert message == "edgelist: header declares 5 edges but body has 1 lines at line 1"
+    assert peak < 1 << 16
+
+
 def load_error_and_peak(text, fmt):
     """The message of the ValueError that loading raises, and the peak traced allocation."""
     tracemalloc.start()
@@ -304,10 +312,11 @@ def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     # the chunks were joined into one list; Python 3.11).  Reading the whole
     # text at once took load_graph to 10.3x, a line list took the writers to
     # 7.8x, 12.6x and 9.8x, and checking an ordering by a sort against a range
-    # list took its load to 17x.  Split into rows (a text with a comment line),
-    # the three loads reach 18x, 21x and 18x (Python 3.11), so a written text
-    # that left its chunked read fails here.  The graph that load_graph keeps
-    # is about 4.2x: one int object per vertex, not one per adjacency entry (8.2x).
+    # list took its load to 17x.  Split into rows as a whole text, the three
+    # loads reached 18x, 21x and 18x (Python 3.11); a text off the written
+    # shape is now split a chunk at a time (see the next test).  The graph
+    # that load_graph keeps is about 4.2x: one int object per vertex, not one
+    # per adjacency entry (8.2x).
     g = generate(GenSpec("planar3tree", (20000,), 1))
     ordering = VertexOrdering.identity(g.n)
     colouring = greedy_cf_colouring(g, ordering)
@@ -324,6 +333,20 @@ def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     assert all(peak < bound for peak, (_, _, bound) in zip(peaks, calls)), peaks
     kept = kept_bytes(load_graph(texts[0]))
     assert kept < 6 * len(texts[0]), kept / len(texts[0])
+
+
+def test_hand_written_loads_peak_at_a_small_multiple_of_the_text():
+    # A text off the written shape is split into lines a chunk of about 64 KiB
+    # at a time.  Measured on Python 3.11: 10.3x for the edgelist with a
+    # comment line and 10.0x for the ordering with CRLF endings, where the
+    # chunk's lines weigh more against this short a text (8.9x and 5.9x at
+    # 10^5 vertices).  Split whole, they peaked at 18.5x and 17.8x.
+    g = generate(GenSpec("planar3tree", (20000,), 1))
+    commented = "# a comment line\n" + save_graph(g)
+    crlf = save_ordering(VertexOrdering.identity(g.n)).replace("\n", "\r\n")
+    peaks = [traced_peak(lambda: load_graph(commented)) / len(commented),
+             traced_peak(lambda: load_ordering(crlf)) / len(crlf)]
+    assert all(peak < 12 for peak in peaks), peaks
 
 
 def test_load_graph_peaks_near_the_graph_it_keeps():
@@ -377,11 +400,10 @@ def test_generated_grid_holds_one_int_object_per_vertex():
 )
 def test_whole_ints_reads_only_the_written_shape(text, cols, fields):
     assert whole_ints(text, cols) == fields
-    try:
-        chunked = list(chain.from_iterable(written_ints(text, cols)))
-    except ValueError:
-        chunked = None
-    assert chunked == fields
+    # The written shape ends in a newline, so the empty text, of no chunk, is off it.
+    reader = DataLines("text", text, cols, " ".join("v" * cols))
+    chunked = list(chain.from_iterable(reader.chunks()))
+    assert (chunked if reader.written and text.endswith("\n") else None) == fields
 
 
 def test_build_graph_rejects_too_many_vertices():
