@@ -132,9 +132,9 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
 def load_corpus(text: str) -> list[GenSpec | str]:
     """Read a corpus file's text: one generator spec (``family(args)``) or
     graph file path per line; '#' lines are comments."""
-    lines = DataLines("corpus", text)
+    lines = DataLines("corpus", text, 0, "")
     items: list[GenSpec | str] = []
-    for i, ln in enumerate(lines.data_rows(text)):
+    for i, ln in enumerate(lines.data_rows()):
         if "(" in ln and ln.endswith(")"):
             try:
                 items.append(parse_genspec(ln))

@@ -173,18 +173,19 @@ class DataLines:
     (``rows``), keeps the header's fields (``head``) and records the first
     malformed line (``bad``), after which it reads no fields."""
 
-    def __init__(self, fmt: str, text: str, cols: int = 0, body: str = "",
+    def __init__(self, fmt: str, text: str, cols: int, body: str,
                  head: tuple[str, str] | None = None, comment: Literal["#", "c"] = "#"):
         self.fmt, self.text, self.cols, self.body, self.shape, self.comment = fmt, text, cols, body, head, comment
 
-    def data_rows(self, chunk: str) -> list[str]:
-        return [ln for ln in map(str.strip, chunk.splitlines()) if ln and not ln.startswith(self.comment)]
+    def data_rows(self, chunk: str | None = None) -> list[str]:  # with no chunk, the whole text's
+        lines = (self.text if chunk is None else chunk).splitlines()
+        return [ln for ln in map(str.strip, lines) if ln and not ln.startswith(self.comment)]
 
     def chunks(self) -> Iterator[list[int]]:
         """Read the text from its start, and yield each chunk's body fields."""
         self.rows, self.head, self.bad = 0, [], None
         cols, text = self.cols, self.text
-        self.written = len(self.body.split()) == cols  # no tags
+        self.written = bool(text) and len(self.body.split()) == cols  # no tags; "" ends in no newline
         b = 0
         while b < len(text):
             a, b = b, text.find("\n", b + _CHUNK - 1) + 1 or len(text)
@@ -268,7 +269,7 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
         parts.append(fields)
     if dimacs and lines.bad is not None:
         # A wrong tag makes its line malformed; the first comes before any other error.
-        for i, row in enumerate(lines.data_rows(text)):
+        for i, row in enumerate(lines.data_rows()):
             if (tag := row.split(None, 1)[0]) != ("e" if i else "p"):
                 known = {"e": "edge line before 'p edge n m' line", "p": "repeated 'p' line"}
                 raise lines.error(i, known.get(tag, f"unknown line prefix {tag!r}"))
@@ -284,12 +285,11 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
     try:
         return build_graph(n, chain.from_iterable(_drain_pairs(parts)))
     except ValueError as err:
-        # The chunks are freed: the text is read again for the line of the
-        # edge named, the first out of range or a self-loop.  A duplicate
-        # edge or a negative count is raised as it is.
+        # The chunks are freed: the text is read again for the line of the first edge out
+        # of range or a self-loop.  A duplicate edge or a negative count is raised as it is.
         if n >= 0:
-            fields = list(chain.from_iterable(lines.chunks()))
-            bad = (i for i, e in enumerate(zip(fields[::2], fields[1::2]), 1) if _edge_error(n, *e))
+            it = chain.from_iterable(lines.chunks())
+            bad = (i for i, e in enumerate(zip(it, it), 1) if _edge_error(n, *e))
             if (line := next(bad, None)) is not None:
                 raise lines.error(line, str(err)) from None
         raise

@@ -337,10 +337,10 @@ def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
 
 def test_hand_written_loads_peak_at_a_small_multiple_of_the_text():
     # A text off the written shape is split into lines a chunk of about 64 KiB
-    # at a time.  Measured on Python 3.11: 10.3x for the edgelist with a
-    # comment line and 10.0x for the ordering with CRLF endings, where the
+    # at a time.  Measured on Python 3.10-3.13: 10.3x for the edgelist with a
+    # comment line and 9.5-10.0x for the ordering with CRLF endings, where the
     # chunk's lines weigh more against this short a text (8.9x and 5.9x at
-    # 10^5 vertices).  Split whole, they peaked at 18.5x and 17.8x.
+    # 10^5 vertices on 3.11).  Split whole, they peaked at 18.5x and 17.8x.
     g = generate(GenSpec("planar3tree", (20000,), 1))
     commented = "# a comment line\n" + save_graph(g)
     crlf = save_ordering(VertexOrdering.identity(g.n)).replace("\n", "\r\n")
@@ -400,10 +400,9 @@ def test_generated_grid_holds_one_int_object_per_vertex():
 )
 def test_whole_ints_reads_only_the_written_shape(text, cols, fields):
     assert whole_ints(text, cols) == fields
-    # The written shape ends in a newline, so the empty text, of no chunk, is off it.
     reader = DataLines("text", text, cols, " ".join("v" * cols))
     chunked = list(chain.from_iterable(reader.chunks()))
-    assert (chunked if reader.written and text.endswith("\n") else None) == fields
+    assert (chunked if reader.written else None) == fields
 
 
 def test_build_graph_rejects_too_many_vertices():
