@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
+import struct
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, NamedTuple
@@ -52,9 +54,55 @@ def _grid(r: int, c: int) -> list[tuple[int, ...]]:
     return adj
 
 
-def _gnp(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    # A pair becomes a tuple only once drawn: combinations() would build all n^2/2.
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+# gnp draws its vertex pairs this many at a time, with one getrandbits call.
+PAIR_BLOCK = 1 << 12
+_WORDS = struct.Struct("<2I").unpack_from
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> list[list[int]]:
+    """The sorted adjacency of the graph whose edges are the pairs u < v, in
+    lexicographic order, for which ``rng.random() < p``: the same draws from
+    the same stream, a block of pairs per ``getrandbits`` call.
+
+    ``random()`` is X / 2**53 for X = (a >> 5) << 26 | b >> 6, where a and b
+    are the generator's next two 32-bit words, and ``getrandbits(64 * k)``
+    holds the next 2k words, the first in the lowest bits.  So a pair is an
+    edge exactly when X < t = ceil(p * 2**53).  X's top 8 bits are a's top
+    byte, so the pair is an edge if that byte is below t >> 45 and no edge if
+    it is above; only a tie unpacks the two words.  Splitting the block's
+    byte per pair at its edges gives the gaps between them, so a pair costs a
+    few C-level steps and only an edge costs Python steps.  The edges come in
+    order, so each list is sorted as made, and its ints come from one list."""
+    t = math.ceil(p * 2**53)
+    tie = t >> 45
+    classes = (b"\x01" * tie + b"\x02" + bytes(255))[:256]  # top byte -> edge 1, tie 2, no edge 0
+    ids = list(range(n + 1))
+    adj: list[list[int]] = [[] for _ in ids]
+    pairs = n * (n - 1) // 2
+    u = end = 0  # the pairs of rows 1..u are those numbered below end
+    for start in range(0, pairs, PAIR_BLOCK):
+        k = min(PAIR_BLOCK, pairs - start)
+        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        edge = bytearray(words[3::8].translate(classes))
+        j = edge.find(2)
+        while j >= 0:
+            a, b = _WORDS(words, 8 * j)
+            edge[j] = (a >> 5 << 26 | b >> 6) < t
+            j = edge.find(2, j + 1)
+        # Split as bytes, whose empty and one-byte parts are shared objects.
+        gaps = bytes(edge).split(b"\x01")
+        gaps.pop()  # the non-edges after the block's last edge
+        i = start - 1
+        for gap in map(len, gaps):
+            i += gap + 1  # the number of the next edge's pair
+            while i >= end:
+                u += 1
+                end += n - u
+                add, w, shift = adj[u].append, ids[u], n + 1 - end
+            v = ids[i + shift]
+            add(v)
+            adj[v].append(w)
+    return adj
 
 
 # Insertions per face chunk in planar3tree: a face is three ints in its chunk,
@@ -109,7 +157,7 @@ def _planar3tree(n: int, rng: random.Random) -> list[list[int]]:
     return adj
 
 
-# gnp draws one number per vertex pair, in lexicographic order, whatever p is;
+# gnp draws two words per vertex pair, in lexicographic order, whatever p is;
 # so its size counts the pairs, and the edge bound limits its time as well.
 TABLE = {
     "path": Family((("n", 1),), False, lambda n: (n, n - 1),
@@ -126,7 +174,7 @@ TABLE = {
     "grid": Family((("rows", 1), ("cols", 1)), False, lambda r, c: (r * c, r * (c - 1) + c * (r - 1)),
                    lambda r, c, rng: graph_of_lists(lambda: _grid(r, c))),
     "gnp": Family((("n", 0), ("p", None)), True, lambda n, p: (n, n * (n - 1) // 2),
-                  lambda n, p, rng: build_graph(n, _gnp(n, p, rng)), "vertex pair"),
+                  lambda n, p, rng: graph_of_lists(lambda: _gnp(n, p, rng)), "vertex pair"),
     "planar3tree": Family((("n", 3),), True, lambda n: (n, 3 * n - 6),
                           lambda n, rng: graph_of_lists(lambda: _planar3tree(n, rng))),
 }

@@ -862,14 +862,7 @@ def reference_generate(spec: GenSpec) -> Graph:
     if f == "gnp":
         n = int(spec.params[0])
         p = float(spec.params[1])
-        rng = random.Random(spec.seed)
-        edges = [
-            (u, v)
-            for u in range(1, n + 1)
-            for v in range(u + 1, n + 1)
-            if rng.random() < p
-        ]
-        return build_graph(n, edges)
+        return build_graph(n, reference_gnp_edges(n, p, random.Random(spec.seed)))
     if f == "planar3tree":
         (n,) = _ints(spec.params)
         rng = random.Random(spec.seed)
@@ -881,6 +874,17 @@ def reference_generate(spec: GenSpec) -> Graph:
             faces += [(a, b, v), (a, c, v), (b, c, v)]
         return build_graph(n, edges)
     raise AssertionError(f"unhandled family {f!r}")
+
+
+def reference_gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    # gnp's edge list before it drew a block of pairs per getrandbits call,
+    # verbatim: one random() per vertex pair, in lexicographic order.
+    return [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if rng.random() < p
+    ]
 
 
 # The edge lists that grid and planar3tree gave build_graph before they built

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import cfcolour.bench
 import cfcolour.colouring
 from cfcolour import GenSpec, generate, load_colouring, load_graph, save_graph
 from cfcolour.cli import main
@@ -35,6 +36,13 @@ def test_gen_seed_determinism(capsys):
     first = capsys.readouterr().out
     main(["gen", "--family", "gnp", "--params", "8,0.4", "--seed", "5"])
     assert capsys.readouterr().out == first
+
+
+def test_gen_without_a_seed_writes_the_seed_0_graph(capsys):
+    assert main(["gen", "--family", "gnp", "--params", "16,0.25"]) == 0
+    out = capsys.readouterr().out
+    assert out == save_graph(generate(GenSpec("gnp", (16, 0.25), seed=0)))
+    assert out != save_graph(generate(GenSpec("gnp", (16, 0.25), seed=1)))
 
 
 def test_gen_missing_params_is_usage_error(capsys):
@@ -334,6 +342,22 @@ def test_bench_csv_and_exit(tmp_path, capsys):
     assert lines[0].startswith("graph_id,family,n,m,strategy,")
     assert len(lines) == 5
     assert lines[1].split(",")[:8] == ["path(4)", "path", "4", "3", "identity", "2", "3", "3"]
+
+
+@pytest.mark.parametrize("criterion, column", [("proper", 8), ("odd", 9), ("conflict_free", 10)])
+def test_bench_exits_1_and_writes_the_csv_when_a_record_fails(tmp_path, monkeypatch, criterion, column):
+    # The greedy never fails a criterion, so vertex 2 is reported violating one.
+    def violations(g, colours):
+        return {**dict.fromkeys(("proper", "odd", "conflict_free")), criterion: 2}
+
+    monkeypatch.setattr(cfcolour.bench, "_violations", violations)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("path(4)\n")
+    out = tmp_path / "records.csv"
+    assert main(["bench", "--corpus", str(corpus), "--strategies", "identity", "-o", str(out)]) == 1
+    header, row = out.read_text().splitlines()
+    assert header.split(",")[8:11] == ["proper_ok", "odd_ok", "cf_ok"]
+    assert row.split(",")[8:11] == ["false" if i == column else "true" for i in range(8, 11)]
 
 
 def test_bench_unknown_strategy_exit_2(tmp_path, capsys):

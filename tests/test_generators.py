@@ -1,8 +1,10 @@
 import hashlib
+import math
 import random
 import re
 from operator import lt
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,10 +21,11 @@ from cfcolour import (
     save_graph,
 )
 from cfcolour import generators
-from cfcolour.generators import FACE_CHUNK, TABLE, parse_params
+from cfcolour.generators import FACE_CHUNK, PAIR_BLOCK, TABLE, parse_params
 from oracles import (
     reference_fenwick_planar3tree_edges,
     reference_generate,
+    reference_gnp_edges,
     reference_graph_id,
     reference_grid_edges,
     reference_validate_params,
@@ -269,11 +272,59 @@ def test_generators_match_the_reference_on_small_specs(seed):
 
 @pytest.mark.parametrize(
     "spec",
-    [GenSpec("grid", (50, 60)), GenSpec("planar3tree", (3000,), seed=1), GenSpec("gnp", (3000, 0.001), seed=1)],
+    [GenSpec("grid", (50, 60)), GenSpec("planar3tree", (3000,), seed=1)]
+    + [GenSpec("gnp", (3000, 0.001), seed=s) for s in (1, 13)],
     ids=str,
 )
 def test_generators_match_the_reference_on_the_perf_corpus(spec):
     assert_same_as_reference(spec)
+
+
+# gnp reads a pair's top byte first: below t >> 45, for t = ceil(p * 2**53),
+# it is an edge, above it no edge, and a tie is unpacked.  t >> 45 moves
+# from c - 1 to c between p = c / 256 - 2**-53 and c / 256, so p is drawn
+# near each such point as well as from [0, 1] and a few fixed values: the
+# ends, a tie byte of 0 (2**-27, 1e-9) and of 255 (0.999999).
+gnp_probabilities = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 2**-27, 1e-9, 1 / 256, 1 / 128, 0.999999, 1.0]),
+    st.builds(lambda c, d: min(max(c / 256 + d * 2**-53, 0.0), 1.0), st.integers(0, 256), st.integers(-40, 40)),
+)
+
+
+# Small blocks end inside rows and on row ends, and hold many rows.
+pair_blocks = st.sampled_from([1, 2, 3, 7, 64, PAIR_BLOCK])
+
+
+def assert_gnp_draws_what_the_comprehension_draws(n, p, seed, block):
+    # The same graph, and the generator left where the comprehension leaves it.
+    spec = GenSpec("gnp", (n, p), seed)
+    mine, theirs = random.Random(seed), random.Random(seed)
+    with mock.patch.object(generators, "PAIR_BLOCK", block):
+        assert generate(spec) == reference_generate(spec)
+        generators._gnp(n, p, mine)
+    reference_gnp_edges(n, p, theirs)
+    assert mine.getstate() == theirs.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 70), gnp_probabilities, st.integers(0, 2**64 - 1), pair_blocks)
+def test_gnp_draws_what_the_per_pair_comprehension_draws(n, p, seed, block):
+    assert_gnp_draws_what_the_comprehension_draws(n, p, seed, block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 70), st.integers(0, 2**64 - 1), st.data(), pair_blocks)
+def test_gnp_decides_a_pair_whose_draw_is_p(n, seed, data, block):
+    # p is one pair's own draw or a float next to it: that pair ties on its
+    # first word's upper 27 bits as well as on the top byte, and only its
+    # second word decides it, which a random p almost never makes happen.
+    rng = random.Random(seed)
+    for _ in range(data.draw(st.integers(0, n * (n - 1) // 2 - 1))):
+        rng.random()
+    r = rng.random()
+    p = data.draw(st.sampled_from([r, math.nextafter(r, 0), math.nextafter(r, 1)]))
+    assert_gnp_draws_what_the_comprehension_draws(n, p, seed, block)
 
 
 # planar3tree keeps its faces in chunks of FACE_CHUNK insertions: these sizes
