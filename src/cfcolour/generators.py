@@ -131,11 +131,10 @@ def _planar3tree(n: int, rng: random.Random) -> list[list[int]]:
     # being filled.
     chunks: list[list[int]] = [[] for _ in range(size)]
     chunks[0] += (1, 2, 3)
-    tree = [3 * FACE_CHUNK] * (size + 1)  # tree[j] sums chunks j - (j & -j) .. j - 1
-    tree[1] += 1
-    for j in range(1, size):
-        tree[j + (j & -j)] += tree[j]
-    steps = [size >> k for k in range(1, size.bit_length())]  # tree[size] exceeds every draw
+    # tree[j], 0 < j < size, sums the full chunks j - (j & -j) .. j - 1 and, for j a power of
+    # two, the first face.  The steps sum to size - 1, so no descent needs a tree[size].
+    tree = [3 * FACE_CHUNK * (j & -j) + (j & (j - 1) == 0) for j in range(size)]
+    steps = [size >> k for k in range(1, size.bit_length())]
     for v in range(4, n + 1):
         i, j = rng.randrange(2 * v - 7), 0
         for step in steps:
@@ -146,7 +145,7 @@ def _planar3tree(n: int, rng: random.Random) -> list[list[int]]:
         a, b, c = faces[i:i + 3]
         del faces[i:i + 3]
         j += 1
-        while j <= size:
+        while j < size:
             tree[j] -= 1
             j += j & -j
         adj[a].append(v)

@@ -167,9 +167,9 @@ class DataLines:
     that are neither blank nor comments (starting with ``comment``): the
     header, if ``head`` names it and gives its shape, then the ``body``
     lines.  A shape ends in ``cols`` int fields, after any tags (DIMACS).
-    :meth:`chunks` reads the text in chunks of whole lines, each parsed by JSON
-    if in the shape the package writes (``written`` while all are), else split
-    by :meth:`data_rows` and read by ``int()``.  It counts the data lines
+    :meth:`chunks` reads the text in chunks of whole lines, each on its own:
+    parsed by JSON if in the shape the package writes, else split by
+    :meth:`data_rows` and read by ``int()``.  It counts the data lines
     (``rows``), keeps the header's fields (``head``) and records the first
     malformed line (``bad``), after which it reads no fields."""
 
@@ -185,13 +185,12 @@ class DataLines:
         """Read the text from its start, and yield each chunk's body fields."""
         self.rows, self.head, self.bad = 0, [], None
         cols, text = self.cols, self.text
-        self.written = bool(text) and len(self.body.split()) == cols  # no tags; "" ends in no newline
+        tagless = len(self.body.split()) == cols
         b = 0
         while b < len(text):
             a, b = b, text.find("\n", b + _CHUNK - 1) + 1 or len(text)
-            fields = _written_fields(text, a, b, cols) if self.written else None
+            fields = _written_fields(text, a, b, cols) if tagless and self.bad is None else None
             if fields is None:
-                self.written = False
                 yield self._read(self.data_rows(text[a:b]))
                 continue
             first, self.rows = self.rows, self.rows + len(fields) // cols
@@ -244,10 +243,10 @@ class DataLines:
 
 def load_graph(text: str, fmt: str = "edgelist") -> Graph:
     """Parse a graph from the text of an edgelist or DIMACS file, read by
-    :class:`DataLines`.  While every chunk is in the written shape, its fields
-    are mapped to one shared int per vertex, so the adjacency holds one int
-    object per vertex.  Errors come in order: DIMACS tags, header syntax, the
-    size bound, the count, body syntax, and then the edges."""
+    :class:`DataLines`.  Every chunk's fields are mapped to one shared int per
+    vertex, so the adjacency holds one int object per vertex.  Errors come in
+    order: DIMACS tags, header syntax, the size bound, the count, body syntax,
+    and then the edges."""
     if fmt not in _TEXT_TAGS:
         raise ValueError(f"unknown graph format {fmt!r}, expected one of {FORMATS}")
     dimacs = fmt == "dimacs"
@@ -255,13 +254,15 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
         DataLines(fmt, text, 2, "u v", ("header", "n m"))
     parts: list[list[int]] = []
     ids: list[int] | None = None
+    signed = "-" in text  # JSON reads no sign, so a written chunk has no negative field
     for fields in lines.chunks():
-        if lines.written:
-            # Made after the size and line-count checks; every chunk is mapped before
-            # the build (mapping in its loop was 10% slower).  A field above n stops it.
-            if ids is None:
-                n, m = lines.head
-                ids = [] if size_error(n, m) or text.count("\n") != m + 1 else list(range(n + 1))
+        # Made after the size and line-per-edge checks.  A field above n or below 0 (ids[-1] is n) stops it.
+        if ids is None and lines.head:
+            n, m = lines.head
+            ids = list(range(n + 1)) if not size_error(n, m) and text.count("\n") > m >= 0 else []
+        if ids and signed and min(fields, default=0) < 0:
+            ids = []
+        if ids:
             try:
                 fields[:] = map(ids.__getitem__, fields)
             except IndexError:

@@ -1205,3 +1205,13 @@ def whole_ints(text: str, cols: int) -> list[int] | None:
     except ValueError:
         return None
     return fields if len(fields) == cols * rows else None
+
+
+def reference_line_ints(text: str, cols: int) -> list[int] | None:
+    """The fields of ``text``'s data lines as the line readers read them, each
+    line split into ``cols`` words and read by int(); None if any line is not."""
+    try:
+        return [int(w) for ws in map(str.split, DataLines("text", text).rows)
+                for w in (ws if len(ws) == cols else [""])]
+    except ValueError:
+        return None

@@ -46,6 +46,7 @@ from oracles import (
     reference_exact_scol,
     reference_greedy_cf_colouring,
     reference_incremental_min_backreach_order,
+    reference_line_ints,
     reference_list_reach2,
     reference_mask_within,
     reference_min_backreach_order,
@@ -651,9 +652,16 @@ def no_rows(self, chunk):
     raise AssertionError("a file in the written shape was split into rows")
 
 
-def written_chunks(text, cols):
+def text_lines(text, cols):
     """DataLines on ``text`` as a body of ``cols`` fields a line, with no header."""
     return DataLines("text", text, cols, " ".join("v" * cols))
+
+
+def written_chunks(text, cols):
+    """The chunks that text_lines reads, every one parsed by JSON: a chunk split into rows fails."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DataLines, "data_rows", no_rows)
+        return list(text_lines(text, cols).chunks())
 
 
 @settings(max_examples=150, deadline=None)
@@ -725,8 +733,7 @@ def test_chunked_readers_match_the_line_reader_with_a_fault_in_any_chunk(kind):
     # gives the line reader's graph, ordering or colouring, or its error
     # message with the same line.
     text = large_written_text(kind)
-    reader = written_chunks(text, 1 if kind == "ordering" else 2)
-    assert len(list(reader.chunks())) >= 3 and reader.written
+    assert len(written_chunks(text, 1 if kind == "ordering" else 2)) >= 3
     load, parse_lines, _ = READERS[kind]
     assert load(text) == parse_lines(text)
     lines = [line_at(text, 100), line_at(text, 3 * graph_module._CHUNK // 2), text.count("\n") - 2]
@@ -750,9 +757,7 @@ def test_chunked_reader_at_a_line_that_ends_on_a_chunk_boundary():
     # characters: its last line ends on the boundary.
     chunk = graph_module._CHUNK
     text = next(t for t in map(large_written_text, ["graph"] * 200, range(200)) if t[chunk - 1] == "\n")
-    reader = written_chunks(text, 2)
-    first = next(reader.chunks())
-    assert reader.written
+    first = written_chunks(text, 2)[0]
     assert len(first) == 2 * text.count("\n", 0, chunk)
     assert load_graph(text) == reference_parse_edgelist(text)
     with pytest.MonkeyPatch.context() as patch:
@@ -779,21 +784,26 @@ def test_an_out_of_range_endpoint_in_the_first_chunk_does_not_hide_a_later_malfo
 @given(written_file(ONE_PASS_KINDS), st.sampled_from(MUTATIONS), st.data())
 def test_chunk_size_does_not_change_any_read(written, mutation, data):
     # Every chunk size from one character up to the whole text: the chunks'
-    # fields join into the whole-text reader's, and a mutated text loads as
-    # the line reader reads it, wherever the chunk boundaries fall.
+    # fields join into the line reader's, a text in the written shape is
+    # parsed by JSON in every chunk into the whole-text reader's fields, and a
+    # mutated text loads as the line reader reads it, wherever the chunk
+    # boundaries fall.
     kind, text, _ = written
     if mutation == "count off by one" and not READERS[kind][2]:
         mutation = "vertex 0 or n+1"
     mutated = mutate(text, kind, mutation, data)
     cols = 1 if kind == "ordering" else 2
     load, parse_lines, _ = READERS[kind]
-    want = outcome(parse_lines, mutated)
+    want, lined, whole = outcome(parse_lines, mutated), reference_line_ints(mutated, cols), whole_ints(mutated, cols)
+    assert graph_module._written_fields(mutated, 0, len(mutated), cols) == whole
     with pytest.MonkeyPatch.context() as patch:
         for size in range(1, len(mutated) + 2):
             patch.setattr(graph_module, "_CHUNK", size)
-            reader = written_chunks(mutated, cols)
+            reader = text_lines(mutated, cols)
             fields = list(chain.from_iterable(reader.chunks()))
-            assert (fields if reader.written else None) == whole_ints(mutated, cols), size
+            assert (fields if reader.bad is None else None) == lined, size
+            if whole is not None:
+                assert list(chain.from_iterable(written_chunks(mutated, cols))) == whole, size
             assert outcome(load, mutated) == want, size
 
 
@@ -841,3 +851,36 @@ def test_a_header_past_the_first_chunk_is_read(kind, fault):
     assert outcome(load, faulty) == outcome(parse_lines, faulty)
     if fault == "valid header":
         assert load(faulty) == parse_lines(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["dimacs", "graph"]), st.integers(300, 500), st.data())
+def test_negative_and_above_n_fields_in_line_read_chunks_load_as_the_line_reader_reads_them(kind, n, data):
+    # Chunks split into lines (by a comment line with a hyphen, a CRLF ending
+    # or DIMACS tags) next to chunks in the written shape, with negative fields
+    # and fields above n: mapping to the shared ints changes no field, so each
+    # load gives the line reader's graph or message.  A loaded graph holds one
+    # int per vertex; the vertices above 256 are no cached small ints.
+    dimacs = kind == "dimacs"
+    g = generate(GenSpec("planar3tree", (n,), data.draw(st.integers(0, 9))))
+    lines = save_graph(g, "dimacs" if dimacs else "edgelist").split("\n")[:-1]
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(1, len(lines) - 1))
+        fault = data.draw(st.sampled_from(["negative", "above n", "crlf", "comment line"]))
+        if fault == "crlf":
+            lines[i] += "\r"
+        elif fault == "comment line":
+            lines.insert(i, "c a-b" if dimacs else "# a-b")
+        else:
+            words = lines[i].split(" ")
+            value = -data.draw(st.integers(0, n + 1)) if fault == "negative" else n + data.draw(st.integers(1, 2))
+            words[data.draw(st.sampled_from([-2, -1]))] = str(value)
+            lines[i] = " ".join(words)
+    faulty = "".join(line + "\n" for line in lines)
+    load, parse_lines, _ = READERS[kind]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK", data.draw(st.sampled_from([1, 64, 1000, 4096])))
+        got = outcome(load, faulty)
+    assert got == outcome(parse_lines, faulty)
+    if not isinstance(got, tuple):
+        assert len(set(map(id, chain.from_iterable(got.adjacency)))) == n

@@ -21,8 +21,8 @@ from cfcolour import (
     save_graph,
     save_ordering,
 )
-from cfcolour.graph import MAX_VERTICES, DataLines
-from oracles import reference_fenwick_planar3tree_edges, reference_grid_edges, whole_ints
+from cfcolour.graph import MAX_VERTICES, DataLines, _written_fields
+from oracles import reference_fenwick_planar3tree_edges, reference_grid_edges, reference_line_ints, whole_ints
 
 
 def test_build_two_vertices_one_edge():
@@ -270,11 +270,13 @@ def test_edge_count_limit_rejects_before_allocating(fmt, text):
 
 
 def test_a_count_mismatch_rejects_before_allocating():
-    # A written header within the size bound, over a body of the wrong length:
-    # the shared ints of its 10^6 vertices are never made.
-    message, peak = load_error_and_peak("1000000 5\n1 2\n", "edgelist")
-    assert message == "edgelist: header declares 5 edges but body has 1 lines at line 1"
-    assert peak < 1 << 16
+    # A header within the size bound, over a body of the wrong length, written
+    # or after a comment line: the text has fewer than m + 1 newlines, so the
+    # shared ints of its 10^6 vertices are never made.
+    for text, line in [("1000000 5\n1 2\n", 1), ("# c\n1000000 5\n1 2\n", 2)]:
+        message, peak = load_error_and_peak(text, "edgelist")
+        assert message == f"edgelist: header declares 5 edges but body has 1 lines at line {line}"
+        assert peak < 1 << 16, text
 
 
 def load_error_and_peak(text, fmt):
@@ -313,8 +315,8 @@ def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
     # text at once took load_graph to 10.3x, a line list took the writers to
     # 7.8x, 12.6x and 9.8x, and checking an ordering by a sort against a range
     # list took its load to 17x.  Split into rows as a whole text, the three
-    # loads reached 18x, 21x and 18x (Python 3.11); a text off the written
-    # shape is now split a chunk at a time (see the next test).  The graph
+    # loads reached 18x, 21x and 18x (Python 3.11); a chunk off the written
+    # shape is now split on its own (see the next test).  The graph
     # that load_graph keeps is about 4.2x: one int object per vertex, not one
     # per adjacency entry (8.2x).
     g = generate(GenSpec("planar3tree", (20000,), 1))
@@ -336,17 +338,22 @@ def test_load_and_save_peak_memory_stays_a_small_multiple_of_the_text():
 
 
 def test_hand_written_loads_peak_at_a_small_multiple_of_the_text():
-    # A text off the written shape is split into lines a chunk of about 64 KiB
-    # at a time.  Measured on Python 3.10-3.13: 10.3x for the edgelist with a
-    # comment line and 9.5-10.0x for the ordering with CRLF endings, where the
-    # chunk's lines weigh more against this short a text (8.9x and 5.9x at
-    # 10^5 vertices on 3.11).  Split whole, they peaked at 18.5x and 17.8x.
+    # A chunk off the written shape is split into lines, a chunk of about 64
+    # KiB at a time, and a graph's fields are mapped to one int per vertex.
+    # Measured on Python 3.11: 6.6x for the edgelist with a comment line, 5.1x
+    # for DIMACS and 10.0x for the ordering with CRLF endings, where the
+    # chunk's lines weigh more against this short a text (9.5-10.0x on
+    # 3.10-3.13; 5.9x at 10^5 vertices on 3.11).  With line-read chunks left
+    # unmapped the two graphs peaked at 10.3x and 8.1x, and split whole the
+    # edgelist and the ordering at 18.5x and 17.8x.
     g = generate(GenSpec("planar3tree", (20000,), 1))
     commented = "# a comment line\n" + save_graph(g)
+    dimacs = save_graph(g, "dimacs")
     crlf = save_ordering(VertexOrdering.identity(g.n)).replace("\n", "\r\n")
-    peaks = [traced_peak(lambda: load_graph(commented)) / len(commented),
-             traced_peak(lambda: load_ordering(crlf)) / len(crlf)]
-    assert all(peak < 12 for peak in peaks), peaks
+    calls = [(lambda: load_graph(commented), commented, 8), (lambda: load_graph(dimacs, "dimacs"), dimacs, 6),
+             (lambda: load_ordering(crlf), crlf, 12)]
+    peaks = [traced_peak(call) / len(text) for call, text, _ in calls]
+    assert all(peak < bound for peak, (_, _, bound) in zip(peaks, calls)), peaks
 
 
 def test_load_graph_peaks_near_the_graph_it_keeps():
@@ -361,8 +368,20 @@ def test_load_graph_peaks_near_the_graph_it_keeps():
 
 
 def test_loaded_graph_holds_one_int_object_per_vertex():
-    g = load_graph(save_graph(generate(GenSpec("grid", (250, 400)))))
-    assert len(set(map(id, chain.from_iterable(g.adjacency)))) == g.n
+    # Every chunk is mapped to the shared ints, whether read by JSON or split
+    # into lines: a written file, one with a comment line, one with CRLF
+    # endings, and a DIMACS file.
+    g = generate(GenSpec("grid", (250, 400)))
+    written = save_graph(g)
+    texts = {
+        "written": (written, "edgelist"),
+        "comment line": ("# a comment line\n" + written, "edgelist"),
+        "crlf": (written.replace("\n", "\r\n"), "edgelist"),
+        "dimacs": (save_graph(g, "dimacs"), "dimacs"),
+    }
+    for kind, (text, fmt) in texts.items():
+        g = load_graph(text, fmt)
+        assert len(set(map(id, chain.from_iterable(g.adjacency)))) == g.n, kind
 
 
 def test_generated_grid_holds_one_int_object_per_vertex():
@@ -399,10 +418,13 @@ def test_generated_grid_holds_one_int_object_per_vertex():
     ],
 )
 def test_whole_ints_reads_only_the_written_shape(text, cols, fields):
+    # The chunk reader's JSON path takes the same texts as the whole-text
+    # reader, and the chunks' fields are the line reader's.
     assert whole_ints(text, cols) == fields
+    assert _written_fields(text, 0, len(text), cols) == fields
     reader = DataLines("text", text, cols, " ".join("v" * cols))
     chunked = list(chain.from_iterable(reader.chunks()))
-    assert (chunked if reader.written else None) == fields
+    assert (chunked if reader.bad is None else None) == reference_line_ints(text, cols)
 
 
 def test_build_graph_rejects_too_many_vertices():
