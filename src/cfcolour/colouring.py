@@ -8,13 +8,12 @@ colouring requires some colour to appear exactly once there.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Collection, Literal, Sequence, get_args
 
 from .graph import DataLines, Graph
-from .reach import VertexOrdering, _check_covers, _check_limit, _reach2
+from .reach import VertexOrdering, _check_covers, _check_limit, _neighbour_masks, _reach2
 
 Criterion = Literal["proper", "odd", "conflict_free"]
 CRITERIA = get_args(Criterion)
@@ -154,39 +153,52 @@ def exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, 
     those already used, which kills colour-permutation symmetry.  A colour is
     rejected as soon as it makes an edge monochromatic, or completes the
     neighbourhood of some vertex w (it goes on the largest neighbour of w)
-    that then fails the odd or conflict-free condition.
+    that then fails the odd or conflict-free condition.  The witness is the
+    first colouring found in that order.  Neighbourhoods and colour classes
+    are ints, one bit per vertex, so both tests are bit operations: v may
+    take colour k when its neighbourhood misses class k, and a completed
+    neighbourhood is judged by how many bits it shares with each class.
     """
     if variant not in CRITERIA:
         raise ValueError(f"unknown variant {variant!r}, expected one of {CRITERIA}")
     _check_limit(g, limit)
     n, adj = g.n, g.adjacency
-    # closes[v]: the vertices whose neighbourhood is fully coloured once v is.
+    nbrs = _neighbour_masks(g)
+    # closes[v]: the neighbourhoods that are fully coloured once v is.
     closes: list[list[int]] = [[] for _ in adj]
     if variant != "proper":
         for w in g.vertices:
             if adj[w]:
-                closes[adj[w][-1]].append(w)
+                closes[adj[w][-1]].append(nbrs[w])
     odd = variant == "odd"
     for c in range(n + 1):
-        # colours[v] is v's current colour, 0 while unset (so v's later
-        # neighbours block nothing); used[v] is the largest colour among 1..v-1.
+        # colours[v] is v's current colour, 0 while unset; classes[k] holds the
+        # vertices coloured k (classes[0] stays empty, so it counts 0 in every
+        # neighbourhood); used[v] is the largest colour among 1..v-1.
         colours = [0] * (n + 1)
+        classes = [0] * (c + 1)
         used = [0] * (n + 2)
         v = 1
         while 1 <= v <= n:
+            bit, hood = 1 << v, nbrs[v]
             top = min(c, used[v] + 1)
+            classes[colours[v]] &= ~bit  # back at v: drop its last colour, if any
             colour = colours[v] + 1
             while colour <= top:
-                colours[v] = colour
-                if all(colours[w] != colour for w in adj[v]) and all(
-                    _holds(Counter(colours[u] for u in adj[w]).values(), odd) for w in closes[v]
-                ):
-                    break
+                if not hood & classes[colour]:
+                    classes[colour] |= bit
+                    for done in closes[v]:
+                        if not _holds([(done & members).bit_count() for members in classes], odd):
+                            classes[colour] ^= bit
+                            break
+                    else:
+                        break
                 colour += 1
             if colour > top:
                 colours[v] = 0
                 v -= 1
             else:
+                colours[v] = colour
                 used[v + 1] = max(used[v], colour)
                 v += 1
         if v > n:

@@ -266,6 +266,11 @@ def min_backreach_order(g: Graph) -> VertexOrdering:
     return VertexOrdering(tuple(reversed(placed_rtl)))
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    # nbrs[v]: v's neighbours as an int with bit w for neighbour w; nbrs[0] is 0.
+    return [sum(1 << w for w in a) for a in g.adjacency]
+
+
 def _peel(nbrs: Sequence[int], k: int) -> tuple[int, list[int]]:
     # The core left by peeling at k (the module docstring's rule), as a mask,
     # and the peeled vertices in the order they went.  Peeling only shrinks
@@ -386,7 +391,7 @@ def exact_scol(g: Graph, radius: int, limit: int = 10) -> tuple[int, VertexOrder
     """
     _check_radius(radius)
     _check_limit(g, limit)
-    nbrs = [sum(1 << w for w in a) for a in g.adjacency]
+    nbrs = _neighbour_masks(g)
     k = min(degeneracy_order(g)[1] + 1, g.n)
     while True:
         core, peeled = _peel(nbrs, k)

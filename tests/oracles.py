@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from cfcolour import Colouring, GenSpec, Graph, VertexOrdering, build_graph, degeneracy_order
 from cfcolour.colouring import CRITERIA, Criterion, Verdict
+from cfcolour.colouring import _holds as _holds_on_counts
 from cfcolour.generators import FACE_CHUNK
 from cfcolour.graph import FORMATS, MAX_VERTICES, size_error
 from cfcolour.reach import _check_covers, _check_limit, _check_radius, _within
@@ -741,6 +742,58 @@ def reference_exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> t
         found = search(1, 0, c)
         if found is not None:
             return c, Colouring(colours=tuple(found), palette=c)
+    raise AssertionError("a colouring with n distinct colours always satisfies every variant")
+
+
+# exact_chromatic as it was before its colour classes became int masks: the
+# same search, which counts each completed neighbourhood's colours in a
+# Counter.  Only the name of colouring._holds changed, since this module has
+# its own _holds.
+def reference_counter_exact_chromatic(g: Graph, variant: Criterion, limit: int = 8) -> tuple[int, Colouring]:
+    """Smallest palette admitting a proper colouring that satisfies ``variant``.
+
+    For c = 0, 1, 2, ... a depth-first search colours the vertices in id order
+    with colours 1..c; a vertex may introduce at most one new colour beyond
+    those already used, which kills colour-permutation symmetry.  A colour is
+    rejected as soon as it makes an edge monochromatic, or completes the
+    neighbourhood of some vertex w (it goes on the largest neighbour of w)
+    that then fails the odd or conflict-free condition.
+    """
+    if variant not in CRITERIA:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {CRITERIA}")
+    _check_limit(g, limit)
+    n, adj = g.n, g.adjacency
+    # closes[v]: the vertices whose neighbourhood is fully coloured once v is.
+    closes: list[list[int]] = [[] for _ in adj]
+    if variant != "proper":
+        for w in g.vertices:
+            if adj[w]:
+                closes[adj[w][-1]].append(w)
+    odd = variant == "odd"
+    for c in range(n + 1):
+        # colours[v] is v's current colour, 0 while unset (so v's later
+        # neighbours block nothing); used[v] is the largest colour among 1..v-1.
+        colours = [0] * (n + 1)
+        used = [0] * (n + 2)
+        v = 1
+        while 1 <= v <= n:
+            top = min(c, used[v] + 1)
+            colour = colours[v] + 1
+            while colour <= top:
+                colours[v] = colour
+                if all(colours[w] != colour for w in adj[v]) and all(
+                    _holds_on_counts(Counter(colours[u] for u in adj[w]).values(), odd) for w in closes[v]
+                ):
+                    break
+                colour += 1
+            if colour > top:
+                colours[v] = 0
+                v -= 1
+            else:
+                used[v + 1] = max(used[v], colour)
+                v += 1
+        if v > n:
+            return c, Colouring(colours=tuple(colours[1:]), palette=c)
     raise AssertionError("a colouring with n distinct colours always satisfies every variant")
 
 

@@ -42,6 +42,7 @@ from oracles import (
     reference_bfs_greedy_cf_colouring,
     reference_build_graph,
     reference_degeneracy_order,
+    reference_counter_exact_chromatic,
     reference_exact_chromatic,
     reference_exact_scol,
     reference_greedy_cf_colouring,
@@ -243,6 +244,26 @@ def test_exact_oracles_match_reference_code(g, radius, variant):
     assert col.palette == chi
     assert verify_colouring(g, col, "proper").ok
     assert verify_colouring(g, col, variant).ok
+
+
+def test_exact_chromatic_matches_the_counter_search():
+    # The mask search gives the Counter search's value and witness, the first
+    # colouring found in id order: every graph on at most 5 vertices and the
+    # exact workload's chromatic inputs (gnp at seeds 0-2), under every criterion.
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [generate(GenSpec("cycle", (14,))), generate(GenSpec("grid", (3, 5)))]
+    graphs += [generate(GenSpec("gnp", (12, 0.3), seed=seed)) for seed in range(3)]
+    for g in graphs:
+        for variant in CRITERIA:
+            want = reference_counter_exact_chromatic(g, variant, limit=g.n)
+            assert exact_chromatic(g, variant, limit=g.n) == want, (g, variant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10), st.floats(0, 1), st.integers(0, 2**32), st.sampled_from(CRITERIA))
+def test_exact_chromatic_matches_the_counter_search_on_gnp(n, p, seed, variant):
+    g = generate(GenSpec("gnp", (n, p), seed))
+    assert exact_chromatic(g, variant, limit=10) == reference_counter_exact_chromatic(g, variant, limit=10)
 
 
 # Graphs where degeneracy + 1 < scol_s < the min_backreach back-reach, so the
